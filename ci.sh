@@ -14,6 +14,10 @@ cargo test --release -q --offline
 echo "== full workspace tests =="
 cargo test --release -q --workspace --offline
 
+echo "== benchmark tests (its own workspace; catches API breaks in the"
+echo "   entry points the benchmark calls) =="
+cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== formatting =="
 cargo fmt --all --check
 
@@ -27,8 +31,8 @@ trap 'rm -rf "$profile_out"' EXIT
 cargo run --release -q --offline -p islaris-bench --bin fig12 -- \
     --profile --jobs 2 --profile-out "$profile_out/trace.json" \
     | tee "$profile_out/profile.txt"
-# fig12 --profile already self-validates the emitted JSON (in-tree
-# validate_json) and exits non-zero otherwise; double-check the file
+# fig12 --profile already self-validates the emitted JSON (by re-parsing
+# it with the in-tree parse_json) and exits non-zero otherwise; double-check the file
 # landed and the confirmation line was printed.
 test -s "$profile_out/trace.json"
 grep -q "valid JSON" "$profile_out/profile.txt"

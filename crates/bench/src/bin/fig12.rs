@@ -60,14 +60,13 @@ use islaris_bench::replay::{
     gen_requests, metrics_delta_report, parse_requests, render_requests, replay, scrape_metrics,
 };
 use islaris_bench::serve::{ServeConfig, Server};
-use islaris_bench::{compare, parse_bench_json, samples_to_json, BenchEnv};
+use islaris_bench::{compare, parse_bench_json, samples_to_json, BenchEnv, BenchOpts};
 use islaris_cases::{
-    find_case, run_case_traced, run_cases_configured, run_cases_solver_cached, CaseCtx,
-    CaseOutcome, ALL_CASES,
+    find_case, run_case, run_cases, CaseCtx, CaseOutcome, PipelineOpts, RunOpts, ALL_CASES,
 };
 use islaris_isla::TraceCache;
 use islaris_obs::json::parse_json;
-use islaris_obs::{profiles_to_json, render_profiles, render_proof_trace, validate_json, Recorder};
+use islaris_obs::{profiles_to_json, render_profiles, render_proof_trace, Recorder};
 use islaris_smt::{QueryCache, SatConfig};
 
 fn usage() -> ! {
@@ -117,8 +116,18 @@ fn parse_sat_off(arg: Option<&String>) -> SatConfig {
 /// then both per-stage counter profiles for attribution.
 fn sat_off(feature: &str, jobs: usize) {
     let ablated = parse_sat_off(Some(&feature.to_string()));
-    let base_run = run_cases_configured(ALL_CASES, jobs, None, None, None, SatConfig::default());
-    let alt_run = run_cases_configured(ALL_CASES, jobs, None, None, None, ablated);
+    let base = PipelineOpts {
+        jobs,
+        ..PipelineOpts::default()
+    };
+    let base_run = run_cases(ALL_CASES, &base);
+    let alt_run = run_cases(
+        ALL_CASES,
+        &PipelineOpts {
+            sat: ablated,
+            ..base
+        },
+    );
     assert_eq!(
         base_run.stable_rows(),
         alt_run.stable_rows(),
@@ -207,13 +216,15 @@ fn profile(
 ) {
     let recorder = Recorder::new();
     let cache = TraceCache::new();
-    let qcache = solver_cache.then(|| Arc::new(QueryCache::new()));
-    let report = run_cases_solver_cached(
+    let report = run_cases(
         ALL_CASES,
-        jobs,
-        Some(&cache),
-        Some(&recorder),
-        qcache.as_ref(),
+        &PipelineOpts {
+            jobs,
+            cache: Some(&cache),
+            recorder: Some(&recorder),
+            qcache: solver_cache.then(|| Arc::new(QueryCache::new())),
+            ..PipelineOpts::default()
+        },
     );
 
     println!("{}", CaseOutcome::stable_header());
@@ -237,7 +248,7 @@ fn profile(
     }
     if let Some(path) = json_path {
         let json = profiles_to_json(&report.profiles());
-        if let Err((off, msg)) = validate_json(&json) {
+        if let Err((off, msg)) = parse_json(&json) {
             eprintln!("emitted profile JSON is invalid at byte {off}: {msg}");
             exit(1);
         }
@@ -249,7 +260,7 @@ fn profile(
     }
 
     let trace = recorder.chrome_trace();
-    if let Err((off, msg)) = validate_json(&trace) {
+    if let Err((off, msg)) = parse_json(&trace) {
         eprintln!("emitted chrome trace is not valid JSON at byte {off}: {msg}");
         exit(1);
     }
@@ -272,23 +283,16 @@ fn profile(
     }
 }
 
-fn bench_mode(
-    warmup: usize,
-    iters: usize,
-    json_path: Option<&str>,
-    solver_cache: bool,
-    sat: SatConfig,
-    jobs: usize,
-) {
-    let env = BenchEnv::capture(warmup, iters);
+fn bench_mode(opts: &BenchOpts, json_path: Option<&str>) {
+    let env = BenchEnv::capture(opts.warmup, opts.iters);
     println!("{}", env.row());
-    let samples = islaris_bench::all_benches_jobs(warmup, iters, solver_cache, sat, jobs);
+    let samples = islaris_bench::all_benches(opts);
     for s in &samples {
         println!("{}", s.row());
     }
     if let Some(path) = json_path {
         let text = samples_to_json(&env, &samples);
-        if let Err((off, msg)) = validate_json(&text) {
+        if let Err((off, msg)) = parse_json(&text) {
             eprintln!("emitted bench JSON is invalid at byte {off}: {msg}");
             exit(1);
         }
@@ -332,7 +336,11 @@ fn trace_proof(slug: &str) {
         exit(2);
     };
     let art = (def.build)(&CaseCtx::default());
-    let (_, report) = run_case_traced(&art);
+    let traced = RunOpts {
+        trace: true,
+        ..RunOpts::default()
+    };
+    let (_, report) = run_case(&art, &traced).expect("no deadline set");
     for block in &report.blocks {
         println!(
             "block {:#x} spec `{}` ({} events):",
@@ -557,7 +565,7 @@ fn gen_requests_mode(args: &[String]) {
         }
     }
     let text = render_requests(&gen_requests(count));
-    if let Err((off, msg)) = validate_json(&text) {
+    if let Err((off, msg)) = parse_json(&text) {
         eprintln!("emitted request file is invalid at byte {off}: {msg}");
         exit(1);
     }
@@ -600,7 +608,7 @@ fn check_json(path: &str) {
         eprintln!("reading {path}: {e}");
         exit(2);
     });
-    if let Err((off, msg)) = validate_json(&text) {
+    if let Err((off, msg)) = parse_json(&text) {
         eprintln!("{path}: invalid JSON at byte {off}: {msg}");
         exit(1);
     }
@@ -664,7 +672,14 @@ fn main() {
                     _ => usage(),
                 }
             }
-            bench_mode(warmup, iters, json_path.as_deref(), solver_cache, sat, jobs);
+            let opts = BenchOpts {
+                warmup,
+                iters,
+                solver_cache,
+                sat,
+                jobs,
+            };
+            bench_mode(&opts, json_path.as_deref());
         }
         Some("--sat-off") => {
             let Some(feature) = args.get(1) else { usage() };

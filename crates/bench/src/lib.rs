@@ -22,16 +22,14 @@ use std::time::{Duration, Instant};
 
 use islaris_bv::Bv;
 use islaris_cases::{
-    binsearch_arm, binsearch_riscv, hvc, memcpy_arm, memcpy_riscv, pkvm, rbit, uart, unaligned,
-    CaseCtx, CaseOutcome, ALL_CASES,
+    binsearch_arm, binsearch_riscv, hvc, memcpy_arm, memcpy_riscv, pkvm, rbit, run_case, uart,
+    unaligned, CaseCtx, CaseOutcome, RunOpts, ALL_CASES,
 };
-use islaris_core::{check_certificate, check_certificate_cached, run_jobs, Verifier};
+use islaris_core::{check_certificate, Verifier};
 use islaris_isla::{trace_opcode, IslaConfig, Opcode};
 use islaris_models::ARM;
-use islaris_obs::{parse_json, validate_json, CertMetrics, Json, QueryTable, SolverMetrics};
-use islaris_smt::{
-    entails, entails_logged, BvCmp, Expr, QueryCache, SatConfig, SolverConfig, Sort, Var,
-};
+use islaris_obs::{parse_json, Json, QueryTable};
+use islaris_smt::{entails, BvCmp, Expr, QueryCache, QueryCtx, SatConfig, SolverConfig, Sort, Var};
 
 pub mod replay;
 pub mod serve;
@@ -167,84 +165,55 @@ pub fn bench<T>(
     }
 }
 
+/// What the `--bench` suites measure and how. Committed baselines run
+/// with no solver cache, all solver features on, and one worker.
+#[derive(Debug, Clone)]
+pub struct BenchOpts {
+    /// Unmeasured iterations per sample.
+    pub warmup: usize,
+    /// Measured iterations per sample.
+    pub iters: usize,
+    /// With the shared solver [`QueryCache`] on, each `verify/<slug>`
+    /// iteration runs against one per-case cache shared across
+    /// iterations (warm-cache steady state — the `fig12 --bench
+    /// --solver-cache on` A/B arm). Off by default: committed baselines
+    /// measure the session win alone, with every solver query recomputed.
+    pub solver_cache: bool,
+    /// Solver feature configuration (`fig12 --bench --sat-off FEATURE`):
+    /// both pipeline halves and the `solver/*` micro-benchmarks run with
+    /// it, so a feature's contribution is directly A/B-measurable.
+    /// Certificate replay keeps the default configuration, as everywhere.
+    pub sat: SatConfig,
+    /// Intra-case parallelism for the `verify/*` halves (`fig12 --bench
+    /// --jobs N`). Verdicts and counters are byte-identical across
+    /// values — only wall-clock changes — so samples stay comparable to
+    /// `jobs = 1` baselines. The stage micro-benchmarks are
+    /// single-threaded by construction and ignore it.
+    pub jobs: usize,
+}
+
 /// The per-case pipeline-half benchmarks: for every registry case,
 /// `trace/<slug>` builds the artefacts from scratch (the trace-generation
-/// half — the paper's "Isla" column) and `verify/<slug>` runs proof
-/// automation plus certificate re-check over pre-built artefacts (the
-/// verification half).
+/// half — the paper's "Isla" column) and `verify/<slug>` runs
+/// [`run_case`] over pre-built artefacts: proof automation plus
+/// certificate re-check (the verification half).
 #[must_use]
-pub fn case_benches(warmup: usize, iters: usize) -> Vec<Sample> {
-    case_benches_opts(warmup, iters, false)
-}
-
-/// [`case_benches`] with the shared solver [`QueryCache`] toggled: with
-/// `solver_cache` on, each `verify/<slug>` iteration runs against one
-/// per-case cache shared across iterations (warm-cache steady state —
-/// the `fig12 --bench --solver-cache on` A/B arm). Off is the default:
-/// committed baselines measure the session win alone, with every solver
-/// query recomputed.
-#[must_use]
-pub fn case_benches_opts(warmup: usize, iters: usize, solver_cache: bool) -> Vec<Sample> {
-    case_benches_configured(warmup, iters, solver_cache, SatConfig::default())
-}
-
-/// [`case_benches_opts`] under an explicit solver feature configuration
-/// (`fig12 --bench --sat-off FEATURE`): both pipeline halves run with
-/// `sat`, so a feature's contribution to each half's median is directly
-/// A/B-measurable. Certificate replay keeps the default configuration,
-/// as everywhere.
-#[must_use]
-pub fn case_benches_configured(
-    warmup: usize,
-    iters: usize,
-    solver_cache: bool,
-    sat: SatConfig,
-) -> Vec<Sample> {
-    case_benches_jobs(warmup, iters, solver_cache, sat, 1)
-}
-
-/// [`case_benches_configured`] with intra-case parallelism: each
-/// `verify/<slug>` iteration verifies blocks and replays certificates
-/// over `jobs` scoped workers (`fig12 --bench --jobs N`). The verdicts
-/// and counters are byte-identical across `jobs` values — only
-/// wall-clock changes — so samples stay comparable to `jobs = 1`
-/// baselines.
-#[must_use]
-pub fn case_benches_jobs(
-    warmup: usize,
-    iters: usize,
-    solver_cache: bool,
-    sat: SatConfig,
-    jobs: usize,
-) -> Vec<Sample> {
+pub fn case_benches(opts: &BenchOpts) -> Vec<Sample> {
+    let (warmup, iters) = (opts.warmup, opts.iters);
     let mut out = Vec::new();
-    let ctx = CaseCtx::default().with_sat(sat);
+    let ctx = CaseCtx::default().with_sat(opts.sat);
     for def in ALL_CASES {
         out.push(bench(format!("trace/{}", def.slug), warmup, iters, || {
             (def.build)(&ctx)
         }));
         let art = (def.build)(&ctx);
-        let qcache = solver_cache.then(|| Arc::new(QueryCache::new()));
+        let run = RunOpts {
+            qcache: opts.solver_cache.then(|| Arc::new(QueryCache::new())),
+            jobs: opts.jobs,
+            ..RunOpts::default()
+        };
         out.push(bench(format!("verify/{}", def.slug), warmup, iters, || {
-            let mut verifier = Verifier::new(art.prog_spec.clone(), art.protocol.clone());
-            verifier.qcache = qcache.clone();
-            verifier.solver.sat = art.sat;
-            verifier.jobs = jobs;
-            let report = verifier.verify_all().unwrap();
-            let replays = run_jobs(jobs, report.blocks.len(), |i| {
-                let mut cm = CertMetrics::default();
-                let mut qt = QueryTable::default();
-                check_certificate_cached(
-                    &report.blocks[i].cert,
-                    &mut cm,
-                    &mut qt,
-                    qcache.as_deref(),
-                )
-                .unwrap();
-            });
-            for r in replays {
-                r.unwrap_or_else(|p| panic!("{}", p.message));
-            }
+            run_case(&art, &run).expect("no deadline set")
         }));
     }
     out
@@ -255,15 +224,8 @@ pub fn case_benches_jobs(
 /// certificate re-checking, and the solver's plain vs RUP-checked paranoid
 /// mode on a representative side condition.
 #[must_use]
-pub fn stage_benches(warmup: usize, iters: usize) -> Vec<Sample> {
-    stage_benches_configured(warmup, iters, SatConfig::default())
-}
-
-/// [`stage_benches`] under an explicit solver feature configuration: the
-/// `solver/*` micro-benchmarks run with `sat`, so CDCL-feature ablations
-/// show up in the per-stage medians too.
-#[must_use]
-pub fn stage_benches_configured(warmup: usize, iters: usize, sat: SatConfig) -> Vec<Sample> {
+pub fn stage_benches(opts: &BenchOpts) -> Vec<Sample> {
+    let (warmup, iters, sat) = (opts.warmup, opts.iters, opts.sat);
     let mut out = Vec::new();
 
     // Isla column: Fig. 3's `add sp, sp, #0x40`, with the EL/SP
@@ -305,7 +267,7 @@ pub fn stage_benches_configured(warmup: usize, iters: usize, sat: SatConfig) -> 
         ..SolverConfig::new()
     };
     out.push(bench("solver/ult_transitivity_64", warmup, iters, || {
-        entails(&facts, &goal, &sorts, &plain)
+        entails(&facts, &goal, &sorts, &plain, &mut QueryCtx::default())
     }));
     let paranoid = SolverConfig {
         sat,
@@ -315,7 +277,7 @@ pub fn stage_benches_configured(warmup: usize, iters: usize, sat: SatConfig) -> 
         "solver/ult_transitivity_64_checked",
         warmup,
         iters,
-        || entails(&facts, &goal, &sorts, &paranoid),
+        || entails(&facts, &goal, &sorts, &paranoid, &mut QueryCtx::default()),
     ));
 
     out
@@ -343,9 +305,12 @@ fn ult_transitivity_query() -> (Vec<Expr>, Expr) {
 pub fn solver_bench_query_table() -> QueryTable {
     let mut table = QueryTable::default();
     let (facts, goal) = ult_transitivity_query();
+    let mut ctx = QueryCtx {
+        table: Some(&mut table),
+        ..QueryCtx::default()
+    };
     for cfg in [SolverConfig::new(), SolverConfig::paranoid()] {
-        let mut m = SolverMetrics::default();
-        let _ = entails_logged(&facts, &goal, &ult_sorts, &cfg, &mut m, &mut table);
+        let _ = entails(&facts, &goal, &ult_sorts, &cfg, &mut ctx);
     }
     table
 }
@@ -353,44 +318,9 @@ pub fn solver_bench_query_table() -> QueryTable {
 /// The full `--bench` suite: every case's two pipeline halves, then the
 /// stage micro-benchmarks.
 #[must_use]
-pub fn all_benches(warmup: usize, iters: usize) -> Vec<Sample> {
-    all_benches_opts(warmup, iters, false)
-}
-
-/// [`all_benches`] with the solver cache toggled for the `verify/*`
-/// halves (see [`case_benches_opts`]).
-#[must_use]
-pub fn all_benches_opts(warmup: usize, iters: usize, solver_cache: bool) -> Vec<Sample> {
-    all_benches_configured(warmup, iters, solver_cache, SatConfig::default())
-}
-
-/// [`all_benches_opts`] under an explicit solver feature configuration
-/// (`fig12 --bench --sat-off FEATURE`): the per-feature A/B arm of the
-/// EXPERIMENTS attribution table.
-#[must_use]
-pub fn all_benches_configured(
-    warmup: usize,
-    iters: usize,
-    solver_cache: bool,
-    sat: SatConfig,
-) -> Vec<Sample> {
-    all_benches_jobs(warmup, iters, solver_cache, sat, 1)
-}
-
-/// [`all_benches_configured`] with intra-case parallelism for the
-/// `verify/*` halves (see [`case_benches_jobs`]); the stage
-/// micro-benchmarks are single-threaded by construction and ignore
-/// `jobs`.
-#[must_use]
-pub fn all_benches_jobs(
-    warmup: usize,
-    iters: usize,
-    solver_cache: bool,
-    sat: SatConfig,
-    jobs: usize,
-) -> Vec<Sample> {
-    let mut out = case_benches_jobs(warmup, iters, solver_cache, sat, jobs);
-    out.extend(stage_benches_configured(warmup, iters, sat));
+pub fn all_benches(opts: &BenchOpts) -> Vec<Sample> {
+    let mut out = case_benches(opts);
+    out.extend(stage_benches(opts));
     out
 }
 
@@ -474,7 +404,7 @@ fn esc(s: &str) -> String {
 }
 
 /// Serialises a bench run as the versioned [`BENCH_SCHEMA`] JSON document
-/// (DESIGN.md §9). The output always passes [`validate_json`] and
+/// (DESIGN.md §9). The output always passes [`parse_json`] and
 /// round-trips through [`parse_bench_json`].
 #[must_use]
 pub fn samples_to_json(env: &BenchEnv, samples: &[Sample]) -> String {
@@ -510,7 +440,7 @@ pub fn samples_to_json(env: &BenchEnv, samples: &[Sample]) -> String {
         );
     }
     out.push_str("]}");
-    debug_assert!(validate_json(&out).is_ok());
+    debug_assert!(parse_json(&out).is_ok());
     out
 }
 
@@ -737,7 +667,7 @@ mod tests {
         };
         let samples = vec![sample("trace/memcpy_arm", 1_234_567), sample("q\"uote", 10)];
         let text = samples_to_json(&env, &samples);
-        validate_json(&text).expect("export must be valid JSON");
+        parse_json(&text).expect("export must be valid JSON");
         let (env2, samples2) = parse_bench_json(&text).expect("export must parse");
         assert_eq!(env, env2);
         assert_eq!(samples, samples2);

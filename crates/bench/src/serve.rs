@@ -69,7 +69,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use islaris_cases::{find_case, run_case_jobs, CaseCtx, ALL_CASES};
+use islaris_cases::{find_case, run_case, CaseCtx, RunOpts, ALL_CASES};
 use islaris_core::{render_certificate, JobSlot, SubmitError, WorkerPool};
 use islaris_isla::{analyze_path, enumerate_paths, IslaConfig, Opcode, PathView, TraceCache};
 use islaris_itl::sexp::{expr_to_sexp, sexp_to_expr};
@@ -80,8 +80,8 @@ use islaris_obs::json::{obj, parse_json, Json};
 use islaris_obs::metrics::{Counter, CounterVec, Gauge, GaugeVec, Histogram, Registry};
 use islaris_obs::store::u64_json;
 use islaris_obs::trace::{chrome_trace_for, TraceJournal, TraceRecord};
-use islaris_obs::{fnv1a, CacheMetrics, QueryTable, Recorder, SolverMetrics, StoreMetrics};
-use islaris_smt::{Expr, QueryCache, SolverConfig, Sort, Var};
+use islaris_obs::{fnv1a, Recorder, StoreMetrics};
+use islaris_smt::{entails, Expr, QueryCache, QueryCtx, SolverConfig, Sort, Var};
 
 /// Every typed error kind the daemon can answer with — the exposition
 /// pre-registers a counter per kind, so `/metrics` always shows all 13
@@ -1093,14 +1093,19 @@ fn run_case_job(
     let jobs = state.pool.workers();
     let ctx = CaseCtx::new(&state.tcache, jobs);
     let art = (def.build)(&ctx);
-    let (outcome, report) =
-        run_case_jobs(&art, Some(&state.qcache), jobs, deadline).map_err(|_| {
-            ApiError::new(
-                504,
-                "deadline-exceeded",
-                "deadline lapsed mid-case between block jobs",
-            )
-        })?;
+    let opts = RunOpts {
+        qcache: Some(state.qcache.clone()),
+        jobs,
+        deadline,
+        ..RunOpts::default()
+    };
+    let (outcome, report) = run_case(&art, &opts).map_err(|_| {
+        ApiError::new(
+            504,
+            "deadline-exceeded",
+            "deadline lapsed mid-case between block jobs",
+        )
+    })?;
     state
         .metrics
         .blocks_parallel
@@ -1233,9 +1238,10 @@ fn run_check_job(
     let entry = lookup_trace(state, arch, opcode)?;
     let paths = enumerate_paths(&entry.trace);
     let cfg = SolverConfig::default();
-    let mut m = SolverMetrics::default();
-    let mut table = QueryTable::default();
-    let mut cm = CacheMetrics::default();
+    let mut ctx = QueryCtx {
+        cache: Some(&*state.qcache),
+        ..QueryCtx::default()
+    };
     let mut failed = Vec::new();
     for (i, events) in paths.iter().enumerate() {
         let view = analyze_path(events, &entry.params);
@@ -1248,16 +1254,7 @@ fn run_check_job(
             )
         })?;
         let sorts = |v: Var| -> Option<Sort> { view.sorts.get(&v).copied() };
-        let (proved, _) = state.qcache.entails_logged(
-            &view.constraints,
-            &goal,
-            &sorts,
-            &cfg,
-            &mut m,
-            &mut table,
-            &mut cm,
-        );
-        if !proved {
+        if !entails(&view.constraints, &goal, &sorts, &cfg, &mut ctx) {
             failed.push(u64_json(i as u64));
         }
     }

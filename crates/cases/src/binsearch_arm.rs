@@ -28,7 +28,9 @@ use islaris_itl::Reg;
 use islaris_models::ARM;
 use islaris_smt::{BvBinop, BvCmp, Expr, Sort, Var};
 
-use crate::report::{run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome};
+use crate::report::{
+    run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts,
+};
 
 /// Code base address.
 pub const BASE: u64 = 0x6_0000;
@@ -485,5 +487,7 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
 /// Verifies the case.
 #[must_use]
 pub fn run() -> CaseOutcome {
-    run_case(&build_case()).0
+    run_case(&build_case(), &RunOpts::default())
+        .expect("no deadline set")
+        .0
 }

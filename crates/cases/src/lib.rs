@@ -15,11 +15,10 @@ pub mod uart;
 pub mod unaligned;
 
 pub use pipeline::{
-    find_case, run_all_parallel, run_all_sequential, run_cases, run_cases_configured,
-    run_cases_solver_cached, run_cases_with, CaseDef, CaseRow, ParallelRun, PipelineReport,
-    ALL_CASES,
+    find_case, run_all_parallel, run_cases, CaseDef, CaseRow, ParallelRun, PipelineOpts,
+    PipelineReport, ALL_CASES,
 };
 pub use report::{
-    run_case, run_case_cached, run_case_jobs, run_case_traced, trace_program_map,
-    trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome,
+    run_case, trace_program_map, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome,
+    RunOpts,
 };

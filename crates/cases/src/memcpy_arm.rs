@@ -18,7 +18,9 @@ use islaris_itl::Reg;
 use islaris_models::ARM;
 use islaris_smt::{BvCmp, Expr, Sort, Var};
 
-use crate::report::{run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome};
+use crate::report::{
+    run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts,
+};
 
 /// Code base address.
 pub const BASE: u64 = 0x1_0000;
@@ -283,5 +285,7 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
 #[must_use]
 pub fn run() -> CaseOutcome {
     let art = build_case();
-    run_case(&art).0
+    run_case(&art, &RunOpts::default())
+        .expect("no deadline set")
+        .0
 }

@@ -18,7 +18,9 @@ use islaris_itl::Reg;
 use islaris_models::RISCV;
 use islaris_smt::{BvCmp, Expr, Sort, Var};
 
-use crate::report::{run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome};
+use crate::report::{
+    run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts,
+};
 
 /// Code base address.
 pub const BASE: u64 = 0x2_0000;
@@ -257,5 +259,7 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
 /// Verifies the case and returns the Fig. 12 measurements.
 #[must_use]
 pub fn run() -> CaseOutcome {
-    run_case(&build_case()).0
+    run_case(&build_case(), &RunOpts::default())
+        .expect("no deadline set")
+        .0
 }

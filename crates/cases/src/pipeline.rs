@@ -20,7 +20,7 @@ use islaris_isla::{CacheStats, TraceCache};
 use islaris_obs::{CaseProfile, QueryTable, Recorder};
 use islaris_smt::{QueryCache, SatConfig};
 
-use crate::report::{run_case_cached, CaseArtifacts, CaseCtx, CaseOutcome};
+use crate::report::{run_case, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts};
 use crate::{
     binsearch_arm, binsearch_riscv, hvc, memcpy_arm, memcpy_riscv, pkvm, rbit, uart, unaligned,
 };
@@ -245,71 +245,67 @@ impl PipelineReport {
     }
 }
 
-/// Runs `cases` on up to `jobs` workers (per-case panic isolation,
-/// deterministic registry-order join), building each through `cache` when
-/// given. Case builds use a sequential inner context: parallelism is at
-/// the case level here, instruction-level fan-out is
+/// How [`run_cases`] schedules and builds the cases. The default is one
+/// worker, no caches, no span recording, all solver features on; every
+/// other field is an optional collaborator.
+#[derive(Clone)]
+pub struct PipelineOpts<'a> {
+    /// Workers for the case-level fan-out.
+    pub jobs: usize,
+    /// Shared trace memo table the cases build through.
+    pub cache: Option<&'a TraceCache>,
+    /// Wall-clock span recorder. When set, each case contributes
+    /// `build:<name>` and `verify:<name>` spans (category `case`) on top
+    /// of the scheduler's per-job queue-wait and execution spans; when
+    /// unset no clock is read beyond the wall-time columns.
+    pub recorder: Option<&'a Recorder>,
+    /// Shared solver [`QueryCache`]: the cases' from-scratch solver
+    /// queries (side provers, certificate replay) are memoised across
+    /// cases and worker threads. Verdict rows, stable rows, and every
+    /// profile counter except the `q.cache` traffic row (and the
+    /// hot-query `hits` column) are byte-identical with and without it.
+    pub qcache: Option<Arc<QueryCache>>,
+    /// Solver feature configuration (`fig12 --sat-off FEATURE`): every
+    /// solver the cases touch — trace generation, proof automation, side
+    /// provers — runs with it; certificate replay keeps the default
+    /// configuration as an independent check. Verdicts and certificates
+    /// are identical for every configuration; only effort counters and
+    /// wall time may differ.
+    pub sat: SatConfig,
+}
+
+impl Default for PipelineOpts<'_> {
+    fn default() -> Self {
+        PipelineOpts {
+            jobs: 1,
+            cache: None,
+            recorder: None,
+            qcache: None,
+            sat: SatConfig::default(),
+        }
+    }
+}
+
+/// Runs `cases` on up to `opts.jobs` workers (per-case panic isolation,
+/// deterministic registry-order join). Case builds use a sequential
+/// inner context: parallelism is at the case level here,
+/// instruction-level fan-out is
 /// [`crate::report::trace_program_map_with`]'s job.
 #[must_use]
-pub fn run_cases(cases: &[CaseDef], jobs: usize, cache: Option<&TraceCache>) -> PipelineReport {
-    run_cases_with(cases, jobs, cache, None)
-}
-
-/// [`run_cases`] with optional wall-clock span recording. When a
-/// [`Recorder`] is supplied, each case contributes `build:<name>` and
-/// `verify:<name>` spans (category `case`) on top of the scheduler's
-/// per-job queue-wait and execution spans; with `None` no clock is read
-/// beyond the existing wall-time columns.
-#[must_use]
-pub fn run_cases_with(
-    cases: &[CaseDef],
-    jobs: usize,
-    cache: Option<&TraceCache>,
-    recorder: Option<&Recorder>,
-) -> PipelineReport {
-    run_cases_solver_cached(cases, jobs, cache, recorder, None)
-}
-
-/// [`run_cases_with`] plus an optional shared solver [`QueryCache`]: the
-/// cases' from-scratch solver queries (side provers, certificate replay)
-/// are memoised across cases and worker threads. Verdict rows, stable
-/// rows, and every profile counter except the `q.cache` traffic row (and
-/// the hot-query `hits` column) are byte-identical with and without the
-/// cache.
-#[must_use]
-pub fn run_cases_solver_cached(
-    cases: &[CaseDef],
-    jobs: usize,
-    cache: Option<&TraceCache>,
-    recorder: Option<&Recorder>,
-    qcache: Option<&Arc<QueryCache>>,
-) -> PipelineReport {
-    run_cases_configured(cases, jobs, cache, recorder, qcache, SatConfig::default())
-}
-
-/// [`run_cases_solver_cached`] under an explicit solver feature
-/// configuration (`fig12 --sat-off FEATURE`): every solver the cases
-/// touch — trace generation, proof automation, side provers — runs with
-/// `sat`; certificate replay keeps the default configuration as an
-/// independent check. Verdicts and certificates are identical for every
-/// configuration; only effort counters and wall time may differ.
-#[must_use]
-pub fn run_cases_configured(
-    cases: &[CaseDef],
-    jobs: usize,
-    cache: Option<&TraceCache>,
-    recorder: Option<&Recorder>,
-    qcache: Option<&Arc<QueryCache>>,
-    sat: SatConfig,
-) -> PipelineReport {
+pub fn run_cases(cases: &[CaseDef], opts: &PipelineOpts) -> PipelineReport {
     let ctx = CaseCtx {
-        cache,
+        cache: opts.cache,
         jobs: 1,
-        sat,
+        sat: opts.sat,
     };
+    let run = RunOpts {
+        qcache: opts.qcache.clone(),
+        ..RunOpts::default()
+    };
+    let recorder = opts.recorder;
     let start = Instant::now();
     let rows = run_jobs_profiled(
-        jobs,
+        opts.jobs,
         cases.len(),
         |i| {
             let t0 = Instant::now();
@@ -321,7 +317,7 @@ pub fn run_cases_configured(
             let (outcome, _) = {
                 let _span =
                     recorder.map(|rec| rec.span(format!("verify:{}", cases[i].name), "case"));
-                run_case_cached(&art, qcache)
+                run_case(&art, &run).expect("no deadline set")
             };
             CaseRow {
                 outcome,
@@ -331,17 +327,11 @@ pub fn run_cases_configured(
         recorder,
     );
     PipelineReport {
-        jobs,
+        jobs: opts.jobs,
         names: cases.iter().map(|c| c.name).collect(),
         rows,
         wall: start.elapsed(),
     }
-}
-
-/// The sequential, uncached baseline over [`ALL_CASES`].
-#[must_use]
-pub fn run_all_sequential() -> PipelineReport {
-    run_cases(ALL_CASES, 1, None)
 }
 
 /// The full parallel measurement: baseline, then a cold and a warm
@@ -390,10 +380,15 @@ impl ParallelRun {
 /// warm), and reports per-case wall times, cache hit rates, and speedups.
 #[must_use]
 pub fn run_all_parallel(jobs: usize) -> ParallelRun {
-    let sequential = run_all_sequential();
+    let sequential = run_cases(ALL_CASES, &PipelineOpts::default());
     let cache = TraceCache::new();
-    let cold = run_cases(ALL_CASES, jobs, Some(&cache));
-    let warm = run_cases(ALL_CASES, jobs, Some(&cache));
+    let cached = PipelineOpts {
+        jobs,
+        cache: Some(&cache),
+        ..PipelineOpts::default()
+    };
+    let cold = run_cases(ALL_CASES, &cached);
+    let warm = run_cases(ALL_CASES, &cached);
     ParallelRun {
         sequential,
         cold,

@@ -32,7 +32,7 @@ use islaris_itl::Reg;
 use islaris_models::ARM;
 use islaris_smt::{Expr, Sort, Var};
 
-use crate::report::{run_case, CaseArtifacts, CaseCtx, CaseOutcome};
+use crate::report::{run_case, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts};
 
 /// The handler entry (the vector's lower-EL synchronous slot).
 pub const HANDLER: u64 = 0xA_0400;
@@ -436,7 +436,9 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
 /// Verifies the case.
 #[must_use]
 pub fn run() -> CaseOutcome {
-    run_case(&build_case()).0
+    run_case(&build_case(), &RunOpts::default())
+        .expect("no deadline set")
+        .0
 }
 
 #[cfg(test)]

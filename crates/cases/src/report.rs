@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use islaris_asm::Program;
 use islaris_core::{
-    check_certificate_cached, run_jobs, run_jobs_ok, ProgramSpec, Protocol, Report, Verifier,
-    VerifyError, DEADLINE_EXCEEDED,
+    check_certificate_with, run_jobs, run_jobs_ok, CertCtx, ProgramSpec, Protocol, Report,
+    Verifier, VerifyError, DEADLINE_EXCEEDED,
 };
 use islaris_isla::{
     trace_opcode, CacheStats, CachedTrace, IslaConfig, IslaError, IslaStats, Opcode, TraceCache,
@@ -260,93 +260,63 @@ pub fn trace_program_map_with(
     (map, stats, cache)
 }
 
+/// How [`run_case`] verifies a case. The default is the sequential,
+/// untraced, uncached run with no deadline; every field is optional.
+#[derive(Clone)]
+pub struct RunOpts {
+    /// Collect a structured proof-search trace into every
+    /// [`islaris_core::BlockReport`] (`fig12 --trace-proof`). Counters
+    /// and outcome are identical to the untraced run.
+    pub trace: bool,
+    /// Shared solver [`QueryCache`]: the engine's side provers and the
+    /// certificate replay answer repeated queries (across blocks, cases
+    /// and threads) from it. Verdicts, certificates, and every profile
+    /// counter except the cache-traffic rows themselves are identical to
+    /// the uncached run — hits replay the original computation's effort
+    /// deltas (DESIGN §10).
+    pub qcache: Option<Arc<QueryCache>>,
+    /// Intra-case parallelism: the engine's blocks and the per-block
+    /// certificate replays run as independent jobs on up to this many
+    /// workers, merged in block order, so outcome, certificates and
+    /// every deterministic profile counter are byte-identical to `1`.
+    pub jobs: usize,
+    /// Checked between block jobs: once it lapses, the run stops with a
+    /// [`DEADLINE_EXCEEDED`] failure (the daemon maps it to `504`).
+    pub deadline: Option<Instant>,
+}
+
+impl Default for RunOpts {
+    fn default() -> Self {
+        RunOpts {
+            trace: false,
+            qcache: None,
+            jobs: 1,
+            deadline: None,
+        }
+    }
+}
+
 /// Verifies a case study and collects the Fig. 12 measurements.
-///
-/// # Panics
-///
-/// Panics if verification or certificate checking fails — the bundled case
-/// studies are expected to verify (tests rely on this).
-#[must_use]
-pub fn run_case(art: &CaseArtifacts) -> (CaseOutcome, Report) {
-    run_case_opts(art, false, None)
-}
-
-/// [`run_case`] with an optional shared solver [`QueryCache`]: the
-/// engine's side provers and the certificate replay answer repeated
-/// queries (across blocks, cases and threads) from the cache. Verdicts,
-/// certificates, and every profile counter except the cache-traffic
-/// rows themselves are identical to the uncached run — hits replay the
-/// original computation's effort deltas (DESIGN §10).
-///
-/// # Panics
-///
-/// Panics if verification or certificate checking fails.
-#[must_use]
-pub fn run_case_cached(
-    art: &CaseArtifacts,
-    qcache: Option<&Arc<QueryCache>>,
-) -> (CaseOutcome, Report) {
-    run_case_opts(art, false, qcache)
-}
-
-/// [`run_case`] with proof-search tracing enabled: every
-/// [`islaris_core::BlockReport`] in the returned [`Report`] carries its
-/// structured trace (`fig12 --trace-proof`). Counters and outcome are
-/// identical to the untraced run.
-///
-/// # Panics
-///
-/// Panics if verification or certificate checking fails.
-#[must_use]
-pub fn run_case_traced(art: &CaseArtifacts) -> (CaseOutcome, Report) {
-    run_case_opts(art, true, None)
-}
-
-fn run_case_opts(
-    art: &CaseArtifacts,
-    trace: bool,
-    qcache: Option<&Arc<QueryCache>>,
-) -> (CaseOutcome, Report) {
-    run_case_opts_jobs(art, trace, qcache, 1, None)
-        .unwrap_or_else(|e| panic!("case `{}`: {e}", art.name))
-}
-
-/// [`run_case_cached`] with intra-case parallelism and an optional
-/// deadline: the engine's blocks and the per-block certificate replays
-/// are scheduled as independent jobs on up to `jobs` workers, with
-/// results merged in block order — outcome, certificates and every
-/// deterministic profile counter are byte-identical to `jobs == 1`.
-/// This is the daemon's single-request scaling path (a `POST /verify`
-/// finally uses all `--workers`).
 ///
 /// # Errors
 ///
-/// Returns a [`DEADLINE_EXCEEDED`] failure if `deadline` lapsed between
-/// jobs (the daemon maps it to `504`).
+/// Returns a [`DEADLINE_EXCEEDED`] failure if `opts.deadline` lapsed
+/// between jobs; never fails without a deadline.
 ///
 /// # Panics
 ///
 /// Panics if verification or certificate checking genuinely fails — the
-/// bundled case studies are expected to verify.
-pub fn run_case_jobs(
-    art: &CaseArtifacts,
-    qcache: Option<&Arc<QueryCache>>,
-    jobs: usize,
-    deadline: Option<Instant>,
-) -> Result<(CaseOutcome, Report), VerifyError> {
-    run_case_opts_jobs(art, false, qcache, jobs, deadline)
-}
-
-fn run_case_opts_jobs(
-    art: &CaseArtifacts,
-    trace: bool,
-    qcache: Option<&Arc<QueryCache>>,
-    jobs: usize,
-    deadline: Option<Instant>,
-) -> Result<(CaseOutcome, Report), VerifyError> {
+/// bundled case studies are expected to verify (tests rely on this).
+pub fn run_case(art: &CaseArtifacts, opts: &RunOpts) -> Result<(CaseOutcome, Report), VerifyError> {
+    let RunOpts {
+        trace,
+        ref qcache,
+        jobs,
+        deadline,
+    } = *opts;
     let mut verifier = Verifier::new(art.prog_spec.clone(), art.protocol.clone());
     verifier.trace = trace;
-    verifier.qcache = qcache.cloned();
+    verifier.qcache = qcache.clone();
     verifier.solver.sat = art.sat;
     verifier.jobs = jobs;
     verifier.deadline = deadline;
@@ -370,12 +340,15 @@ fn run_case_opts_jobs(
                 message: DEADLINE_EXCEEDED.into(),
             });
         }
-        let mut cm = CertMetrics::default();
-        let mut qt = QueryTable::default();
-        qt.absorb(&block.stats.queries);
-        check_certificate_cached(&block.cert, &mut cm, &mut qt, qcache.map(Arc::as_ref))
+        let mut qt = block.stats.queries.clone();
+        let mut ctx = CertCtx {
+            table: Some(&mut qt),
+            cache: qcache.as_deref(),
+            ..CertCtx::default()
+        };
+        check_certificate_with(&block.cert, &mut ctx)
             .unwrap_or_else(|e| panic!("case `{}`: {e}", art.name));
-        Ok((cm, qt))
+        Ok((ctx.metrics, qt))
     });
     let mut cert_metrics = CertMetrics::default();
     let mut queries = QueryTable::default();

@@ -20,7 +20,9 @@ use islaris_itl::Reg;
 use islaris_models::ARM;
 use islaris_smt::{Expr, Sort, Var};
 
-use crate::report::{run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome};
+use crate::report::{
+    run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts,
+};
 
 /// Code base address.
 pub const BASE: u64 = 0x5_0000;
@@ -227,5 +229,7 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
 /// Verifies the case.
 #[must_use]
 pub fn run() -> CaseOutcome {
-    run_case(&build_case()).0
+    run_case(&build_case(), &RunOpts::default())
+        .expect("no deadline set")
+        .0
 }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use islaris_smt::lia::{IVar, LinAtom, LinTerm};
-use islaris_smt::{entails, BvBinop, BvCmp, Expr, ExprKind, SolverConfig, Sort, Var};
+use islaris_smt::{entails, BvBinop, BvCmp, Expr, ExprKind, QueryCtx, SolverConfig, Sort, Var};
 
 use crate::seq::SeqVar;
 
@@ -354,7 +354,7 @@ pub fn bv_prover<'a>(
     sorts: &'a dyn Fn(Var) -> Option<Sort>,
     cfg: &'a SolverConfig,
 ) -> impl FnMut(&Expr) -> bool + 'a {
-    move |goal: &Expr| entails(facts, goal, sorts, cfg)
+    move |goal: &Expr| entails(facts, goal, sorts, cfg, &mut QueryCtx::default())
 }
 
 #[cfg(test)]

@@ -21,11 +21,12 @@
 //! they can be committed as golden files and replayed from disk.
 
 use islaris_itl::sexp::{expr_to_sexp, parse_sexp, sexp_to_expr, ParseError, Sexp};
-use islaris_obs::{fnv1a, CertMetrics, QueryTable, SolverMetrics};
+use islaris_obs::{fnv1a, CertMetrics, QueryTable};
 use islaris_smt::lia::{implies, IVar, LinAtom, LinTerm};
 use islaris_smt::sat::Lit;
 use islaris_smt::{
-    entails_logged, entails_proof, entails_via_proof, Expr, RupProof, SolverConfig, Sort, Var,
+    entails, entails_proof, entails_via_proof, Expr, QueryCache, QueryCtx, RupProof, SolverConfig,
+    Sort, Var,
 };
 
 /// One discharged side condition.
@@ -158,55 +159,48 @@ impl std::error::Error for CertError {}
 /// Returns the first obligation that fails to re-prove (or a digest
 /// mismatch for sealed certificates).
 pub fn check_certificate(cert: &Certificate) -> Result<(), CertError> {
-    let mut scratch = CertMetrics::default();
-    check_certificate_metered(cert, &mut scratch)
+    check_certificate_with(cert, &mut CertCtx::default())
 }
 
-/// [`check_certificate`] with replay-effort counters recorded into `m`.
+/// The optional collaborators of a certificate replay. All fields are
+/// optional sinks or sources; `CertCtx::default()` replays with none.
+#[derive(Default)]
+pub struct CertCtx<'a> {
+    /// Replay-effort counters, accumulated across calls.
+    pub metrics: CertMetrics,
+    /// Per-query attribution of the replay's solver queries (the replay
+    /// half of the `--hot-queries` table; LIA obligations issue no solver
+    /// query and record nothing).
+    pub table: Option<&'a mut QueryTable>,
+    /// Shared query cache: replays whose full rendered query text (under
+    /// the paranoid configuration) has already been answered — by another
+    /// case, block or thread — are served from it, with the original
+    /// run's effort deltas replayed into `metrics` and `table`. Cache
+    /// traffic is counted in [`CertMetrics::qcache`].
+    pub cache: Option<&'a QueryCache>,
+}
+
+/// [`check_certificate`] with replay counters, attribution and an
+/// optional shared query cache taken from `ctx`.
 ///
 /// # Errors
 ///
 /// Returns the first obligation that fails to re-prove (or a digest
 /// mismatch for sealed certificates).
-pub fn check_certificate_metered(cert: &Certificate, m: &mut CertMetrics) -> Result<(), CertError> {
-    let mut scratch = QueryTable::default();
-    check_certificate_logged(cert, m, &mut scratch)
+pub fn check_certificate_with(cert: &Certificate, ctx: &mut CertCtx) -> Result<(), CertError> {
+    let m = &mut ctx.metrics;
+    let mut q = QueryCtx {
+        table: ctx.table.as_deref_mut(),
+        cache: ctx.cache,
+        ..QueryCtx::default()
+    };
+    let result = replay(cert, m, &mut q);
+    m.solver.absorb(&q.metrics);
+    m.qcache.absorb(&q.cache_metrics);
+    result
 }
 
-/// [`check_certificate_metered`] plus per-query attribution: the replay's
-/// solver queries are aggregated under their digests in `table` (the
-/// replay half of the `--hot-queries` table; LIA obligations issue no
-/// solver query and record nothing).
-///
-/// # Errors
-///
-/// Returns the first obligation that fails to re-prove (or a digest
-/// mismatch for sealed certificates).
-pub fn check_certificate_logged(
-    cert: &Certificate,
-    m: &mut CertMetrics,
-    table: &mut QueryTable,
-) -> Result<(), CertError> {
-    check_certificate_cached(cert, m, table, None)
-}
-
-/// [`check_certificate_logged`] with an optional shared query cache:
-/// replays whose full rendered query text (under the paranoid
-/// configuration) has already been answered — by another case, block or
-/// thread — are served from the cache, with the original run's effort
-/// deltas replayed into `m` and `table`. Cache traffic is counted in
-/// [`CertMetrics::qcache`].
-///
-/// # Errors
-///
-/// Returns the first obligation that fails to re-prove (or a digest
-/// mismatch for sealed certificates).
-pub fn check_certificate_cached(
-    cert: &Certificate,
-    m: &mut CertMetrics,
-    table: &mut QueryTable,
-    qcache: Option<&islaris_smt::QueryCache>,
-) -> Result<(), CertError> {
+fn replay(cert: &Certificate, m: &mut CertMetrics, q: &mut QueryCtx) -> Result<(), CertError> {
     if let Some(stored) = cert.digest {
         let computed = obligations_digest(&cert.obligations);
         if stored != computed {
@@ -226,29 +220,11 @@ pub fn check_certificate_cached(
             Obligation::Bv { facts, goal, sorts } => {
                 m.bv += 1;
                 let lookup = |v: Var| sorts.iter().find(|(w, _)| *w == v).map(|(_, s)| *s);
-                let mut sm = SolverMetrics::default();
                 // A stored proof replays without CDCL search; if it fails
                 // to apply (stale or tampered), fall back to a full solve.
-                let fast = cert
-                    .proof_for(index)
-                    .is_some_and(|p| entails_via_proof(facts, goal, &lookup, &cfg, p, &mut sm));
-                let ok = fast || {
-                    let (ok, _digest) = match qcache {
-                        Some(cache) => cache.entails_logged(
-                            facts,
-                            goal,
-                            &lookup,
-                            &cfg,
-                            &mut sm,
-                            table,
-                            &mut m.qcache,
-                        ),
-                        None => entails_logged(facts, goal, &lookup, &cfg, &mut sm, table),
-                    };
-                    ok
-                };
-                m.solver.absorb(&sm);
-                ok
+                cert.proof_for(index).is_some_and(|p| {
+                    entails_via_proof(facts, goal, &lookup, &cfg, p, &mut q.metrics)
+                }) || entails(facts, goal, &lookup, &cfg, q)
             }
             Obligation::Lia { facts, goal } => {
                 m.lia += 1;
@@ -738,8 +714,9 @@ mod tests {
         // Proofs are excluded from the digest: the sealed certificate
         // still checks, and the replay takes the proof path (no CDCL
         // search: zero conflicts and decisions).
-        let mut m = CertMetrics::default();
-        check_certificate_metered(&cert, &mut m).expect("proof-backed replay checks");
+        let mut ctx = CertCtx::default();
+        check_certificate_with(&cert, &mut ctx).expect("proof-backed replay checks");
+        let m = ctx.metrics;
         assert_eq!(m.solver.conflicts, 0, "stored proof must skip search");
         assert_eq!(m.solver.decisions, 0, "stored proof must skip search");
         assert_eq!(m.solver.unsat, 1);
@@ -793,8 +770,9 @@ mod tests {
     #[test]
     fn metered_check_counts_replays() {
         let cert = sample();
-        let mut m = CertMetrics::default();
-        check_certificate_metered(&cert, &mut m).expect("checks");
+        let mut ctx = CertCtx::default();
+        check_certificate_with(&cert, &mut ctx).expect("checks");
+        let m = ctx.metrics;
         assert_eq!(m.replayed, 2);
         assert_eq!(m.bv, 1);
         assert_eq!(m.lia, 1);

@@ -19,7 +19,7 @@ use islaris_itl::{Event, Reg, Trace};
 use islaris_obs::{CacheMetrics, ProofEvent, ProofStep, QueryTable, SessionMetrics};
 use islaris_smt::lia::{implies, LinAtom, LinTerm};
 use islaris_smt::{
-    entails_logged, simplify_with, Expr, QueryCache, Session, SolverConfig, SolverMetrics, Sort,
+    entails, simplify_with, Expr, QueryCache, QueryCtx, Session, SolverConfig, SolverMetrics, Sort,
     Value, Var, VarGen,
 };
 
@@ -479,21 +479,18 @@ impl ProofEnv<'_> {
         }
         pass1.extend(self.bridge.range_facts());
 
-        let mut queries = 0u64;
-        let mut sm = SolverMetrics::default();
-        let mut qt = QueryTable::default();
-        let mut cm = CacheMetrics::default();
+        let mut ctx = QueryCtx {
+            table: Some(&mut self.stats.queries),
+            cache: self.qcache,
+            ..QueryCtx::default()
+        };
         let mut prove2 = side_prover(
             &pass1,
             self.bridge.clone(),
             self.pure.to_vec(),
             self.sorts.clone(),
             self.solver.clone(),
-            self.qcache,
-            &mut queries,
-            &mut sm,
-            &mut qt,
-            &mut cm,
+            &mut ctx,
         );
         let mut facts = self.bridge.int_facts(self.pure, &widths, &mut prove2);
         for (n, b) in self.lens {
@@ -503,10 +500,9 @@ impl ProofEnv<'_> {
             }
         }
         drop(prove2);
-        self.stats.smt_queries += queries;
-        self.stats.solver.absorb(&sm);
-        self.stats.queries.absorb(&qt);
-        self.stats.qcache.absorb(&cm);
+        self.stats.smt_queries += ctx.metrics.queries;
+        self.stats.solver.absorb(&ctx.metrics);
+        self.stats.qcache.absorb(&ctx.cache_metrics);
         facts
     }
 
@@ -515,28 +511,24 @@ impl ProofEnv<'_> {
     fn to_int_lia(&mut self, e: &Expr, w: u32) -> Option<LinTerm> {
         let mut base = self.lia_facts();
         base.extend(self.bridge.range_facts());
-        let mut queries = 0u64;
-        let mut sm = SolverMetrics::default();
-        let mut qt = QueryTable::default();
-        let mut cm = CacheMetrics::default();
+        let mut ctx = QueryCtx {
+            table: Some(&mut self.stats.queries),
+            cache: self.qcache,
+            ..QueryCtx::default()
+        };
         let mut prove = side_prover(
             &base,
             self.bridge.clone(),
             self.pure.to_vec(),
             self.sorts.clone(),
             self.solver.clone(),
-            self.qcache,
-            &mut queries,
-            &mut sm,
-            &mut qt,
-            &mut cm,
+            &mut ctx,
         );
         let r = self.bridge.to_int(e, w, &mut prove);
         drop(prove);
-        self.stats.smt_queries += queries;
-        self.stats.solver.absorb(&sm);
-        self.stats.queries.absorb(&qt);
-        self.stats.qcache.absorb(&cm);
+        self.stats.smt_queries += ctx.metrics.queries;
+        self.stats.solver.absorb(&ctx.metrics);
+        self.stats.qcache.absorb(&ctx.cache_metrics);
         r
     }
 }
@@ -580,20 +572,21 @@ impl SeqCtx for ProofEnv<'_> {
             return true;
         }
         self.stats.smt_queries += 1;
-        let mut m = SolverMetrics::default();
-        let (ok, digest) = {
-            let ws = {
-                let sorts = &*self.sorts;
-                move |v: Var| sorts.get(&v).copied()
-            };
-            // Incremental: facts are encoded once into the block session
-            // and the query runs as an assumption solve against the
-            // retained clause database (same answers and digests as the
-            // from-scratch `entails_logged`).
-            self.session
-                .entails_logged(self.pure, &g, &ws, &mut m, &mut self.stats.queries)
+        let ws = {
+            let sorts = &*self.sorts;
+            move |v: Var| sorts.get(&v).copied()
         };
-        self.stats.solver.absorb(&m);
+        let mut ctx = QueryCtx {
+            table: Some(&mut self.stats.queries),
+            ..QueryCtx::default()
+        };
+        // Incremental: facts are encoded once into the block session and
+        // the query runs as an assumption solve against the retained
+        // clause database (same answers and digests as the from-scratch
+        // `entails`).
+        let ok = self.session.entails(self.pure, &g, &ws, &mut ctx);
+        let digest = ctx.digest.expect("a table is attached");
+        self.stats.solver.absorb(&ctx.metrics);
         if ok {
             self.stats.obligations += 1;
             self.tr(|| ProofEvent::with_digest(ProofStep::Discharge, format!("bv {g}"), digest));
@@ -1637,50 +1630,24 @@ fn high_bits_zero_shape(g: &Expr, ws: &dyn Fn(Var) -> Option<u32>) -> Option<(Ex
 
 /// Builds a side-condition prover for bridge conversions: recursive LIA
 /// first, then a budgeted SAT call.
-fn side_prover<'a>(
+fn side_prover<'a, 'c>(
     base: &'a [LinAtom],
     scratch: IntBridge,
     pure: Vec<Expr>,
     sorts: HashMap<Var, Sort>,
     solver: SolverConfig,
-    qcache: Option<&'a QueryCache>,
-    queries: &'a mut u64,
-    metrics: &'a mut SolverMetrics,
-    table: &'a mut QueryTable,
-    cache_metrics: &'a mut CacheMetrics,
-) -> impl FnMut(&Expr) -> bool + 'a {
+    ctx: &'a mut QueryCtx<'c>,
+) -> impl FnMut(&Expr) -> bool + use<'a, 'c> {
+    let cfg = SolverConfig {
+        max_conflicts: 50_000,
+        ..solver
+    };
     move |goal: &Expr| {
-        if lia_side_prove(goal, base, &scratch, &sorts, 4) {
-            return true;
-        }
-        *queries += 1;
-        let cfg = SolverConfig {
-            max_conflicts: 50_000,
-            ..solver.clone()
-        };
         // These queries recur across blocks and cases (the same bridge
         // side conditions arise wherever the same pointer arithmetic
         // does), so they go through the shared cache when one is wired.
-        let (ok, _digest) = match qcache {
-            Some(cache) => cache.entails_logged(
-                &pure,
-                goal,
-                &|v| sorts.get(&v).copied(),
-                &cfg,
-                metrics,
-                table,
-                cache_metrics,
-            ),
-            None => entails_logged(
-                &pure,
-                goal,
-                &|v| sorts.get(&v).copied(),
-                &cfg,
-                metrics,
-                table,
-            ),
-        };
-        ok
+        lia_side_prove(goal, base, &scratch, &sorts, 4)
+            || entails(&pure, goal, &|v| sorts.get(&v).copied(), &cfg, ctx)
     }
 }
 

@@ -25,9 +25,8 @@ pub mod seq;
 
 pub use assertions::{build, Arg, Atom, BlockAnn, Param, ProgramSpec, SpecDef, SpecTable};
 pub use cert::{
-    check_certificate, check_certificate_cached, check_certificate_logged,
-    check_certificate_metered, obligations_digest, parse_certificate, render_certificate,
-    CertError, Certificate, Obligation, DIGEST_MISMATCH,
+    check_certificate, check_certificate_with, obligations_digest, parse_certificate,
+    render_certificate, CertCtx, CertError, Certificate, Obligation, DIGEST_MISMATCH,
 };
 pub use engine::{BlockReport, BlockStats, Report, Verifier, VerifyError, DEADLINE_EXCEEDED};
 pub use iospec::{accepts, uart, NoIo, Protocol, UartProtocol};

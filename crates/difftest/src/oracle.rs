@@ -22,7 +22,8 @@ use islaris_itl::{Event, Reg};
 use islaris_models::Arch;
 use islaris_sail::{CVal, CheckedModel, Interp, InterpError, SailMem, SailState};
 use islaris_smt::{
-    check_sat, eval_bits, EvalError, Expr, Model, SmtResult, SolverConfig, Sort, Value, Var,
+    check_sat, eval_bits, EvalError, Expr, Model, QueryCtx, SmtResult, SolverConfig, Sort, Value,
+    Var,
 };
 
 use crate::report::Divergence;
@@ -123,7 +124,13 @@ impl<'m> Oracle<'m> {
                 }
             }
             let sorts = view.sorts.clone();
-            let model = match check_sat(&constraints, &|v| sorts.get(&v).copied(), &self.solver) {
+            let lookup = |v| sorts.get(&v).copied();
+            let model = match check_sat(
+                &constraints,
+                &lookup,
+                &self.solver,
+                &mut QueryCtx::default(),
+            ) {
                 SmtResult::Unsat => {
                     out.vacuous += 1;
                     continue;

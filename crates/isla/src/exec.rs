@@ -14,7 +14,7 @@ use islaris_bv::Bv;
 use islaris_itl::Event;
 use islaris_sail::{Binop, CheckedModel, Expr as SExpr, LValue, Pattern, Stmt, Ty, Unop};
 use islaris_smt::{
-    maybe_sat_metered, BvBinop, BvCmp, BvUnop, Expr, SolverConfig, SolverMetrics, Sort, Var,
+    check_sat, BvBinop, BvCmp, BvUnop, Expr, QueryCtx, SolverConfig, SolverMetrics, Sort, Var,
 };
 
 use crate::sym::{RegKey, SymState, SymVal};
@@ -256,15 +256,16 @@ impl<'a> SymExec<'a> {
         q.extend(self.st.path.iter().cloned());
         q.push(c.clone());
         self.st.smt_queries += 2;
-        let mut m = SolverMetrics::default();
+        // `Unknown` counts as possibly satisfiable: unprunable branches stay.
+        let mut ctx = QueryCtx::default();
         let (t_ok, f_ok) = {
             let sorts = |v: Var| self.st.sort_of(v);
-            let t_ok = maybe_sat_metered(&q, &sorts, &self.cfg.solver, &mut m);
+            let t_ok = !check_sat(&q, &sorts, &self.cfg.solver, &mut ctx).is_unsat();
             *q.last_mut().expect("just pushed") = Expr::not(c.clone());
-            let f_ok = maybe_sat_metered(&q, &sorts, &self.cfg.solver, &mut m);
+            let f_ok = !check_sat(&q, &sorts, &self.cfg.solver, &mut ctx).is_unsat();
             (t_ok, f_ok)
         };
-        self.st.solver.absorb(&m);
+        self.st.solver.absorb(&ctx.metrics);
         match (t_ok, f_ok) {
             (true, true) => {
                 self.st.branches_explored += 1;

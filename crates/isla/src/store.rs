@@ -23,19 +23,17 @@
 //! store directory; the worst race is two processes computing the same
 //! trace and one overwriting the other's identical entry.
 
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use islaris_itl::{parse_trace, print_trace};
-use islaris_obs::json::{obj, parse_json, Json};
+use islaris_obs::json::{obj, Json};
 use islaris_obs::store::{
-    open, seal, solver_metrics_from_json, solver_metrics_to_json, u64_json, write_atomic,
+    solver_metrics_from_json, solver_metrics_to_json, u64_json, Decoded, SealedDir,
 };
-use islaris_obs::{fnv1a, StoreMetrics};
+use islaris_obs::StoreMetrics;
 use islaris_smt::{Sort, Var};
 
 use crate::cache::CachedTrace;
@@ -45,13 +43,7 @@ use crate::driver::IslaStats;
 pub const TRACE_MAGIC: &str = "islaris-store/v1 trace";
 
 /// A directory of sealed trace entries, one file per cache key.
-pub struct TraceStore {
-    dir: PathBuf,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    evictions: AtomicU64,
-    write_errors: AtomicU64,
-}
+pub struct TraceStore(SealedDir);
 
 impl TraceStore {
     /// Opens (creating if needed) a store rooted at `dir`.
@@ -60,110 +52,51 @@ impl TraceStore {
     ///
     /// Any I/O error creating the directory.
     pub fn open(dir: &Path) -> io::Result<TraceStore> {
-        fs::create_dir_all(dir)?;
-        Ok(TraceStore {
-            dir: dir.to_path_buf(),
-            disk_hits: AtomicU64::new(0),
-            disk_misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-        })
+        SealedDir::open(dir, TRACE_MAGIC, "trace").map(TraceStore)
     }
 
     /// The on-disk file holding `key`'s entry.
     #[must_use]
     pub fn path_for(&self, key: &str) -> PathBuf {
-        self.dir
-            .join(format!("{:016x}.trace", fnv1a(key.as_bytes())))
+        self.0.path_for(key)
     }
 
     /// Loads and verifies the entry for `key`. Any defect — missing
     /// file, bad seal, unparseable payload, key mismatch — is a miss;
     /// defective files (except benign key collisions) are evicted.
     pub fn load(&self, key: &str) -> Option<Arc<CachedTrace>> {
-        let path = self.path_for(key);
-        let Ok(data) = fs::read_to_string(&path) else {
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        match decode_entry(&data, key) {
-            Decoded::Entry(entry) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::new(entry))
-            }
-            Decoded::OtherKey => {
-                // A valid entry for a colliding key: not ours, not corrupt.
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Decoded::Corrupt => {
-                let _ = fs::remove_file(&path);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.0
+            .load(key, |j| match j.get("key").and_then(Json::as_str) {
+                Some(stored) if stored == key => {
+                    entry_from_json(j).map_or(Decoded::Corrupt, |e| Decoded::Entry(Arc::new(e)))
+                }
+                Some(_) => Decoded::OtherKey,
+                None => Decoded::Corrupt,
+            })
     }
 
     /// Seals and atomically writes `entry` under `key`. Write failures
-    /// are counted, not propagated: persistence is an optimisation and
-    /// must never fail a verification.
+    /// are counted, not propagated.
     pub fn save(&self, key: &str, entry: &CachedTrace) {
-        let sealed = seal(TRACE_MAGIC, &encode_entry(key, entry));
-        if write_atomic(&self.path_for(key), sealed.as_bytes()).is_err() {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        let params = entry
+            .params
+            .iter()
+            .map(|(v, s)| Json::Arr(vec![Json::Num(f64::from(v.0)), Json::Str(s.to_string())]))
+            .collect();
+        let payload = obj(vec![
+            ("key", Json::Str(key.to_string())),
+            ("params", Json::Arr(params)),
+            ("stats", stats_to_json(&entry.stats)),
+            ("trace", Json::Str(print_trace(&entry.trace))),
+        ]);
+        self.0.save(key, &payload);
     }
 
     /// Disk-side traffic counters.
     #[must_use]
     pub fn metrics(&self) -> StoreMetrics {
-        StoreMetrics {
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-        }
+        self.0.metrics()
     }
-}
-
-enum Decoded {
-    Entry(CachedTrace),
-    OtherKey,
-    Corrupt,
-}
-
-fn encode_entry(key: &str, entry: &CachedTrace) -> String {
-    let params = entry
-        .params
-        .iter()
-        .map(|(v, s)| Json::Arr(vec![Json::Num(f64::from(v.0)), Json::Str(s.to_string())]))
-        .collect();
-    obj(vec![
-        ("key", Json::Str(key.to_string())),
-        ("params", Json::Arr(params)),
-        ("stats", stats_to_json(&entry.stats)),
-        ("trace", Json::Str(print_trace(&entry.trace))),
-    ])
-    .render()
-}
-
-fn decode_entry(data: &str, key: &str) -> Decoded {
-    let Ok(payload) = open(TRACE_MAGIC, data) else {
-        return Decoded::Corrupt;
-    };
-    let Ok(j) = parse_json(&payload) else {
-        return Decoded::Corrupt;
-    };
-    match j.get("key").and_then(Json::as_str) {
-        Some(stored) if stored == key => {}
-        Some(_) => return Decoded::OtherKey,
-        None => return Decoded::Corrupt,
-    }
-    let Some(entry) = entry_from_json(&j) else {
-        return Decoded::Corrupt;
-    };
-    Decoded::Entry(entry)
 }
 
 fn entry_from_json(j: &Json) -> Option<CachedTrace> {
@@ -229,6 +162,7 @@ mod tests {
     use crate::driver::{trace_opcode, Opcode};
     use crate::exec::IslaConfig;
     use islaris_models::ARM;
+    use std::fs;
 
     const ADD_SP: u32 = 0x9101_03ff; // add sp, sp, #0x40
 
@@ -319,6 +253,59 @@ mod tests {
         assert!(store.load("other-key").is_none(), "key mismatch is a miss");
         assert!(other.exists(), "a valid foreign entry is not evicted");
         assert_eq!(store.metrics().evictions, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Pins the on-disk format: existing `--store` directories stay warm
+    /// only while the file name and sealed bytes of an entry are
+    /// unchanged.
+    #[test]
+    fn sealed_bytes_and_file_name_are_pinned() {
+        let dir = tmp_dir("pin");
+        let store = TraceStore::open(&dir).unwrap();
+        let entry = CachedTrace {
+            trace: Arc::new(
+                parse_trace("(trace (declare-const v0 (_ BitVec 64)) (write-reg |R0| nil v0))")
+                    .unwrap(),
+            ),
+            params: vec![(Var(0), Sort::BitVec(64))],
+            stats: IslaStats {
+                runs: 1,
+                smt_queries: 2,
+                time: Duration::from_nanos(3),
+                events: 4,
+                branches_explored: 5,
+                branches_pruned: 6,
+                model_steps: 7,
+                model_calls: 8,
+                solver: islaris_smt::SolverMetrics {
+                    queries: 9,
+                    ..islaris_smt::SolverMetrics::default()
+                },
+            },
+        };
+        store.save("pinned-key", &entry);
+        let path = store.path_for("pinned-key");
+        assert_eq!(
+            path.file_name().unwrap().to_str().unwrap(),
+            "6228bafaee84a69d.trace"
+        );
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            concat!(
+                "islaris-store/v1 trace\n",
+                "sum 50420d55d2de6616\n",
+                "len 466\n",
+                r#"{"key":"pinned-key","params":[[0,"(_ BitVec 64)"]],"stats":{"runs":1,"#,
+                r#""smt_queries":2,"time_ns":3,"events":4,"branches_explored":5,"#,
+                r#""branches_pruned":6,"model_steps":7,"model_calls":8,"#,
+                r#""solver":{"queries":9,"sat":0,"unsat":0,"unknown":0,"model_verifies":0,"#,
+                r#""cnf_vars":0,"cnf_clauses":0,"propagations":0,"decisions":0,"#,
+                r#""conflicts":0,"restarts":0,"reduced":0,"minimized":0,"folded":0,"#,
+                r#""trimmed":0}},"#,
+                r#""trace":"(trace (declare-const v0 (_ BitVec 64)) (write-reg |R0| nil v0))"}"#,
+            )
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

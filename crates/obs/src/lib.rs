@@ -1001,177 +1001,6 @@ fn escape_json(s: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// JSON validation (for the CI profile smoke)
-// ---------------------------------------------------------------------------
-
-/// Validates that `s` is one complete JSON value (object, array, string,
-/// number, `true`/`false`/`null`) with nothing but whitespace after it.
-/// A recursive-descent scanner, not a parser: it builds no tree, it only
-/// accepts or rejects — enough for the CI smoke to assert the emitted
-/// Chrome trace is well-formed without external tooling.
-///
-/// # Errors
-///
-/// Returns `(byte offset, message)` for the first violation.
-pub fn validate_json(s: &str) -> Result<(), (usize, String)> {
-    let b = s.as_bytes();
-    let mut i = 0;
-    skip_ws(b, &mut i);
-    json_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err((i, "trailing content after JSON value".into()));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn json_value(b: &[u8], i: &mut usize) -> Result<(), (usize, String)> {
-    match b.get(*i) {
-        Some(b'{') => json_object(b, i),
-        Some(b'[') => json_array(b, i),
-        Some(b'"') => json_string(b, i),
-        Some(b't') => json_lit(b, i, "true"),
-        Some(b'f') => json_lit(b, i, "false"),
-        Some(b'n') => json_lit(b, i, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => json_number(b, i),
-        Some(c) => Err((*i, format!("unexpected byte {:?}", *c as char))),
-        None => Err((*i, "unexpected end of input".into())),
-    }
-}
-
-fn json_object(b: &[u8], i: &mut usize) -> Result<(), (usize, String)> {
-    *i += 1; // '{'
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b'}') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        json_string(b, i)?;
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b':') {
-            return Err((*i, "expected ':' in object".into()));
-        }
-        *i += 1;
-        skip_ws(b, i);
-        json_value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err((*i, "expected ',' or '}' in object".into())),
-        }
-    }
-}
-
-fn json_array(b: &[u8], i: &mut usize) -> Result<(), (usize, String)> {
-    *i += 1; // '['
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        json_value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err((*i, "expected ',' or ']' in array".into())),
-        }
-    }
-}
-
-fn json_string(b: &[u8], i: &mut usize) -> Result<(), (usize, String)> {
-    if b.get(*i) != Some(&b'"') {
-        return Err((*i, "expected string".into()));
-    }
-    *i += 1;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    Some(b'u') => {
-                        for k in 1..=4 {
-                            if !b.get(*i + k).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err((*i, "bad \\u escape".into()));
-                            }
-                        }
-                        *i += 5;
-                    }
-                    _ => return Err((*i, "bad escape".into())),
-                }
-            }
-            0x00..=0x1f => return Err((*i, "raw control character in string".into())),
-            _ => *i += 1,
-        }
-    }
-    Err((*i, "unterminated string".into()))
-}
-
-fn json_number(b: &[u8], i: &mut usize) -> Result<(), (usize, String)> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    let digits = |b: &[u8], i: &mut usize| {
-        let s = *i;
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
-        *i > s
-    };
-    if !digits(b, i) {
-        return Err((start, "malformed number".into()));
-    }
-    if b.get(*i) == Some(&b'.') {
-        *i += 1;
-        if !digits(b, i) {
-            return Err((start, "malformed number".into()));
-        }
-    }
-    if matches!(b.get(*i), Some(b'e' | b'E')) {
-        *i += 1;
-        if matches!(b.get(*i), Some(b'+' | b'-')) {
-            *i += 1;
-        }
-        if !digits(b, i) {
-            return Err((start, "malformed number".into()));
-        }
-    }
-    Ok(())
-}
-
-fn json_lit(b: &[u8], i: &mut usize, lit: &str) -> Result<(), (usize, String)> {
-    if b[*i..].starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err((*i, format!("expected `{lit}`")))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Hashing (certificate digests)
 // ---------------------------------------------------------------------------
 
@@ -1279,7 +1108,7 @@ mod tests {
         let spans = rec.spans();
         assert_eq!(spans.len(), 3);
         let json = rec.chrome_trace();
-        validate_json(&json).expect("chrome trace is valid JSON");
+        parse_json(&json).expect("chrome trace is valid JSON");
         assert!(json.contains("\"name\":\"outer\""));
         assert!(json.contains("\"ph\":\"X\""));
     }
@@ -1289,7 +1118,7 @@ mod tests {
         let rec = Recorder::new();
         drop(rec.span("we\"ird\\name\n", "test"));
         let json = rec.chrome_trace();
-        validate_json(&json).expect("escaped trace is valid JSON");
+        parse_json(&json).expect("escaped trace is valid JSON");
     }
 
     #[test]
@@ -1301,7 +1130,7 @@ mod tests {
             "\"lone string\"",
             "-0.5",
         ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e:?}"));
+            parse_json(ok).unwrap_or_else(|e| panic!("{ok}: {e:?}"));
         }
         for bad in [
             "",
@@ -1314,7 +1143,7 @@ mod tests {
             "nul",
             "{'single': 1}",
         ] {
-            assert!(validate_json(bad).is_err(), "accepted {bad}");
+            assert!(parse_json(bad).is_err(), "accepted {bad}");
         }
     }
 
@@ -1477,7 +1306,6 @@ mod tests {
 
         let text = p.render("hvc (Arm)");
         let json = p.to_json("hvc (Arm)");
-        validate_json(&json).expect("profile JSON is valid");
         let parsed = parse_json(&json).expect("profile JSON parses");
         assert_eq!(parsed.get("case").and_then(Json::as_str), Some("hvc (Arm)"));
 
@@ -1501,8 +1329,8 @@ mod tests {
         }
         // And the array form is valid JSON too.
         let arr = profiles_to_json(&[("a".into(), p), ("b".into(), CaseProfile::default())]);
-        validate_json(&arr).expect("profile array is valid JSON");
-        assert_eq!(parse_json(&arr).unwrap().as_array().unwrap().len(), 2);
+        let parsed = parse_json(&arr).expect("profile array is valid JSON");
+        assert_eq!(parsed.as_array().unwrap().len(), 2);
     }
 
     #[test]
@@ -1510,13 +1338,13 @@ mod tests {
         // Satellite hardening: any strict prefix of a valid document must
         // be rejected (catches scanner states that accept early EOF).
         let doc = r#"{"a":[1,2.5,{"b":"xÿ\n"},[true,false,null]],"c":-3e4}"#;
-        validate_json(doc).expect("full document is valid");
+        parse_json(doc).expect("full document is valid");
         for cut in 1..doc.len() {
             if !doc.is_char_boundary(cut) {
                 continue;
             }
             assert!(
-                validate_json(&doc[..cut]).is_err(),
+                parse_json(&doc[..cut]).is_err(),
                 "truncation at byte {cut} accepted: {:?}",
                 &doc[..cut]
             );
@@ -1531,7 +1359,7 @@ mod tests {
             r#"["deep",[[[[[[[["nest"]]]]]]]]]"#,
             "[[],[],{}]",
         ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e:?}"));
+            parse_json(ok).unwrap_or_else(|e| panic!("{ok}: {e:?}"));
         }
         for bad in [
             r#""\u00g0""#,
@@ -1541,7 +1369,7 @@ mod tests {
             "[[1]",
             "{\"a\":1",
         ] {
-            assert!(validate_json(bad).is_err(), "accepted {bad}");
+            assert!(parse_json(bad).is_err(), "accepted {bad}");
         }
     }
 

@@ -12,31 +12,35 @@
 //! <payload>               one self-describing document
 //! ```
 //!
-//! [`open`] re-derives the checksum and length before a caller ever
+//! `open` re-derives the checksum and length before a caller ever
 //! parses the payload; any mismatch — wrong magic, truncation, a flipped
-//! bit — is a [`StoreError`], which callers treat as a **sound miss**:
+//! bit — is a `StoreError`, which callers treat as a **sound miss**:
 //! the entry is evicted and the answer recomputed from scratch. Nothing
 //! read from disk is ever trusted without passing this gate *and* the
 //! caller's own semantic checks (key equality, payload parse).
 //!
-//! Writes go through [`write_atomic`]: the sealed bytes land in a
+//! [`SealedDir`] wraps the policy for a whole directory of entries of
+//! one kind (file naming, eviction, traffic counters), so a store crate
+//! supplies only its payload codec.
+//!
+//! Writes go through `write_atomic`: the sealed bytes land in a
 //! process-unique `*.tmp` sibling first and are `rename`d into place, so
 //! concurrent processes sharing a store directory never observe a
 //! half-written entry — they see the old entry or the new one.
 
-use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::json::{obj, Json};
-use crate::{fnv1a, QueryStats, SolverMetrics};
+use crate::json::{obj, parse_json, Json};
+use crate::{fnv1a, QueryStats, SolverMetrics, StoreMetrics};
 
 /// Why an on-disk entry was rejected. Every variant is handled the same
 /// way by callers (evict + recompute); the distinctions exist for tests
 /// and diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreError {
+enum StoreError {
     /// The first line was not the expected magic string.
     BadMagic,
     /// The `sum`/`len` header lines were missing or unparseable.
@@ -48,22 +52,9 @@ pub enum StoreError {
     BadLength,
 }
 
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::BadMagic => write!(f, "bad magic line"),
-            StoreError::BadHeader => write!(f, "bad store header"),
-            StoreError::BadChecksum => write!(f, "checksum mismatch"),
-            StoreError::BadLength => write!(f, "length mismatch"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
 /// Seals `payload` under `magic` into the bytes written to disk.
 #[must_use]
-pub fn seal(magic: &str, payload: &str) -> String {
+fn seal(magic: &str, payload: &str) -> String {
     format!(
         "{magic}\nsum {:016x}\nlen {}\n{payload}",
         fnv1a(payload.as_bytes()),
@@ -75,9 +66,9 @@ pub fn seal(magic: &str, payload: &str) -> String {
 ///
 /// # Errors
 ///
-/// [`StoreError`] when the magic, header, checksum, or length do not
+/// `StoreError` when the magic, header, checksum, or length do not
 /// check out. Callers must treat any error as a sound cache miss.
-pub fn open(magic: &str, data: &str) -> Result<String, StoreError> {
+fn open(magic: &str, data: &str) -> Result<String, StoreError> {
     let rest = data.strip_prefix(magic).ok_or(StoreError::BadMagic)?;
     let rest = rest.strip_prefix('\n').ok_or(StoreError::BadMagic)?;
     let (sum_line, rest) = rest.split_once('\n').ok_or(StoreError::BadHeader)?;
@@ -107,7 +98,7 @@ pub fn open(magic: &str, data: &str) -> Result<String, StoreError> {
 /// # Errors
 ///
 /// Any underlying I/O error; the temporary file is removed on failure.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let file_name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "store path has no file name")
     })?;
@@ -118,6 +109,111 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         Err(e) => {
             let _ = fs::remove_file(&tmp);
             Err(e)
+        }
+    }
+}
+
+/// What a payload codec made of an entry that passed the seal.
+pub enum Decoded<T> {
+    /// The entry for the requested key.
+    Entry(T),
+    /// A valid entry for a different key whose rendering hashes to the
+    /// same file name: a miss, but not corrupt, so it is kept.
+    OtherKey,
+    /// Unparseable or incomplete: a miss, and the file is evicted.
+    Corrupt,
+}
+
+/// A directory of sealed JSON entries of one kind: the file for a key is
+/// `{fnv1a(key):016x}.{ext}`, every entry is sealed under `magic`, and
+/// disk traffic is counted. Persistent stores keep only their payload
+/// codec and delegate the rest here, so verify-on-load is one policy.
+pub struct SealedDir {
+    dir: PathBuf,
+    magic: &'static str,
+    ext: &'static str,
+    disk_hits: AtomicU64,
+    disk_misses: AtomicU64,
+    evictions: AtomicU64,
+    write_errors: AtomicU64,
+}
+
+impl SealedDir {
+    /// Opens (creating if needed) a store rooted at `dir`.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error creating the directory.
+    pub fn open(dir: &Path, magic: &'static str, ext: &'static str) -> io::Result<SealedDir> {
+        fs::create_dir_all(dir)?;
+        Ok(SealedDir {
+            dir: dir.to_path_buf(),
+            magic,
+            ext,
+            disk_hits: AtomicU64::new(0),
+            disk_misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            write_errors: AtomicU64::new(0),
+        })
+    }
+
+    /// The on-disk file holding the entry for the rendered key `key`.
+    #[must_use]
+    pub fn path_for(&self, key: &str) -> PathBuf {
+        self.dir
+            .join(format!("{:016x}.{}", fnv1a(key.as_bytes()), self.ext))
+    }
+
+    /// Loads and verifies the entry for `key`. Any defect — missing file,
+    /// bad seal, unparseable payload, or a `decode` verdict other than
+    /// [`Decoded::Entry`] — is a miss; defective files (except benign
+    /// key collisions) are evicted.
+    pub fn load<T>(&self, key: &str, decode: impl FnOnce(&Json) -> Decoded<T>) -> Option<T> {
+        let path = self.path_for(key);
+        let Ok(data) = fs::read_to_string(&path) else {
+            self.disk_misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let decoded = match open(self.magic, &data).map(|payload| parse_json(&payload)) {
+            Ok(Ok(j)) => decode(&j),
+            _ => Decoded::Corrupt,
+        };
+        match decoded {
+            Decoded::Entry(entry) => {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                Some(entry)
+            }
+            Decoded::OtherKey => {
+                self.disk_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Decoded::Corrupt => {
+                let _ = fs::remove_file(&path);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.disk_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Seals and atomically writes `payload` under `key`. Write failures
+    /// are counted, not propagated: persistence is an optimisation and
+    /// must never fail a verification.
+    pub fn save(&self, key: &str, payload: &Json) {
+        let sealed = seal(self.magic, &payload.render());
+        if write_atomic(&self.path_for(key), sealed.as_bytes()).is_err() {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Disk-side traffic counters.
+    #[must_use]
+    pub fn metrics(&self) -> StoreMetrics {
+        StoreMetrics {
+            disk_hits: self.disk_hits.load(Ordering::Relaxed),
+            disk_misses: self.disk_misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            write_errors: self.write_errors.load(Ordering::Relaxed),
         }
     }
 }

@@ -163,7 +163,7 @@ pub fn chrome_trace_for(rec: &TraceRecord) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate_json;
+    use crate::parse_json;
 
     fn rec(id: u64, seq: u64) -> TraceRecord {
         TraceRecord {
@@ -201,7 +201,7 @@ mod tests {
     fn chrome_export_is_valid_json_with_identity_and_profile() {
         let r = rec(0xdead_beef, 7);
         let out = chrome_trace_for(&r);
-        validate_json(&out).expect("valid chrome trace");
+        parse_json(&out).expect("valid chrome trace");
         assert!(out.contains("\"trace_id\":\"00000000deadbeef\""), "{out}");
         assert!(out.contains("\"ph\":\"X\""), "{out}");
         assert!(out.contains("\"profile\":{\"sail\":2}"), "{out}");

@@ -9,8 +9,9 @@
 //! * [`simplify()`] — a semantics-preserving rewriting simplifier;
 //! * [`sat`] — a CDCL SAT solver with RUP proof logging;
 //! * [`cnf`] — Tseitin bit-blasting of expressions to CNF;
-//! * [`solver`] — the query facade ([`check_sat`], [`entails`]) with
-//!   checked models and optionally checked refutation proofs;
+//! * [`solver`] — the query facade ([`check_sat`], [`entails`], each
+//!   taking a [`QueryCtx`] of optional sinks) with checked models and
+//!   optionally checked refutation proofs;
 //! * [`session`] — incremental solving sessions (facts encoded once,
 //!   clauses retained across queries) and the shared sound query cache;
 //! * [`lia`] — linear integer arithmetic for sequence-index reasoning.
@@ -18,14 +19,16 @@
 //! # Examples
 //!
 //! ```
-//! use islaris_smt::{check_sat, entails, Expr, SolverConfig, Sort, Var};
+//! use islaris_smt::{entails, Expr, QueryCtx, SolverConfig, Sort, Var};
 //!
 //! let sorts = |v: Var| (v.0 == 0).then_some(Sort::BitVec(64));
 //! let x = Expr::var(Var(0));
 //! // x + 1 = 5 entails x = 4.
 //! let fact = Expr::eq(Expr::add(x.clone(), Expr::bv(64, 1)), Expr::bv(64, 5));
 //! let goal = Expr::eq(x, Expr::bv(64, 4));
-//! assert!(entails(&[fact], &goal, &sorts, &SolverConfig::new()));
+//! let mut ctx = QueryCtx::default();
+//! assert!(entails(&[fact], &goal, &sorts, &SolverConfig::new(), &mut ctx));
+//! assert_eq!(ctx.metrics.queries, 1);
 //! ```
 
 pub mod cnf;
@@ -49,8 +52,7 @@ pub use simplify::{
     propagate_constants, simplify, simplify_with, width_of, width_of_with, WidthOracle,
 };
 pub use solver::{
-    check_sat, check_sat_logged, check_sat_metered, entails, entails_logged, entails_metered,
-    entails_proof, entails_via_proof, maybe_sat, maybe_sat_metered, query_digest, Model, SmtResult,
+    check_sat, entails, entails_proof, entails_via_proof, query_digest, Model, QueryCtx, SmtResult,
     SolverConfig,
 };
 pub use store::{QueryStore, QUERY_MAGIC};

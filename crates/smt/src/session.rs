@@ -36,62 +36,18 @@
 //! configuration's checked-evidence discipline intact.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
 
-use islaris_obs::{fnv1a, CacheMetrics, QueryStats, QueryTable, SessionMetrics, SolverMetrics};
+use islaris_obs::{QueryStats, SessionMetrics, SolverMetrics};
 
 use crate::cnf::{BlastError, Blaster};
 use crate::eval::eval_bool;
 use crate::expr::{Expr, Sort, Var};
 use crate::sat::{check_rup_proof, trim_proof, AssumptionOutcome, Lit, SatOutcome};
 use crate::simplify::simplify;
-use crate::solver::{Model, SmtResult, SolverConfig};
-
-/// FNV-1a over the newline-separated renderings of `exprs` — the same
-/// text (and therefore the same digest) as
-/// [`crate::solver::query_digest`] over an equal slice.
-fn digest_over<'a>(exprs: impl Iterator<Item = &'a Expr>) -> (String, u64) {
-    let mut text = String::new();
-    for a in exprs {
-        let _ = writeln!(text, "{a}");
-    }
-    let digest = fnv1a(text.as_bytes());
-    (text, digest)
-}
-
-/// Field-wise difference `after - before` of two solver-metric snapshots.
-fn metrics_delta(after: &SolverMetrics, before: &SolverMetrics) -> SolverMetrics {
-    SolverMetrics {
-        queries: after.queries - before.queries,
-        sat: after.sat - before.sat,
-        unsat: after.unsat - before.unsat,
-        unknown: after.unknown - before.unknown,
-        model_verifies: after.model_verifies - before.model_verifies,
-        cnf_vars: after.cnf_vars - before.cnf_vars,
-        cnf_clauses: after.cnf_clauses - before.cnf_clauses,
-        propagations: after.propagations - before.propagations,
-        decisions: after.decisions - before.decisions,
-        conflicts: after.conflicts - before.conflicts,
-        restarts: after.restarts - before.restarts,
-        reduced: after.reduced - before.reduced,
-        minimized: after.minimized - before.minimized,
-        folded: after.folded - before.folded,
-        trimmed: after.trimmed - before.trimmed,
-    }
-}
-
-/// The per-query attribution record derived from a metrics delta.
-fn query_delta(delta: &SolverMetrics) -> QueryStats {
-    QueryStats {
-        count: 1,
-        cnf_clauses: delta.cnf_clauses,
-        propagations: delta.propagations,
-        decisions: delta.decisions,
-        conflicts: delta.conflicts,
-        hits: 0,
-    }
-}
+use crate::solver::{
+    metrics_delta, query_delta, render_query, solve, Model, QueryCtx, SmtResult, SolverConfig,
+};
 
 // ---------------------------------------------------------------------------
 // Incremental sessions
@@ -100,7 +56,7 @@ fn query_delta(delta: &SolverMetrics) -> QueryStats {
 /// An incremental solving session: one retained [`Blaster`] answering a
 /// stream of `check_sat`/`entails` queries whose fact sets overlap.
 ///
-/// Answers follow [`crate::solver::check_sat_metered`]'s contract exactly
+/// Answers follow [`crate::solver::check_sat`]'s contract exactly
 /// — same verdicts, same `Unknown` messages, same decision order over the
 /// assumption list — so switching a caller from per-query solving to a
 /// session changes effort counters but never certificates.
@@ -147,72 +103,68 @@ impl Session {
 
     /// Checks satisfiability of the conjunction of `assumptions` against
     /// the retained database. Answer-compatible with
-    /// [`crate::solver::check_sat_metered`].
-    pub fn check_sat_metered(
+    /// [`crate::solver::check_sat`], and records into `ctx` the same way
+    /// (digest only when a table is attached).
+    ///
+    /// Session queries are never cached: an assumption solve's effort
+    /// depends on everything the session has retained, so replaying it
+    /// would break the byte-identical counters.
+    ///
+    /// # Panics
+    ///
+    /// If `ctx.cache` is set.
+    pub fn check_sat(
         &mut self,
         assumptions: &[Expr],
         sorts: &dyn Fn(Var) -> Option<Sort>,
-        m: &mut SolverMetrics,
+        ctx: &mut QueryCtx,
     ) -> SmtResult {
-        let q: Vec<&Expr> = assumptions.iter().collect();
-        self.check_exprs(&q, sorts, m)
-    }
-
-    /// [`Session::check_sat_metered`] plus per-query attribution under
-    /// the query's digest (see [`crate::solver::check_sat_logged`]).
-    pub fn check_sat_logged(
-        &mut self,
-        assumptions: &[Expr],
-        sorts: &dyn Fn(Var) -> Option<Sort>,
-        m: &mut SolverMetrics,
-        table: &mut QueryTable,
-    ) -> (SmtResult, u64) {
-        let (_, digest) = digest_over(assumptions.iter());
-        let before = *m;
-        let q: Vec<&Expr> = assumptions.iter().collect();
-        let result = self.check_exprs(&q, sorts, m);
-        table.record(digest, query_delta(&metrics_delta(m, &before)));
-        (result, digest)
+        self.query(assumptions.iter(), sorts, ctx)
     }
 
     /// Does `facts ⟹ goal` hold? Decided by refutation against the
     /// retained database; answer-compatible with
-    /// [`crate::solver::entails_metered`].
-    pub fn entails_metered(
+    /// [`crate::solver::entails`]. The digest is computed over the
+    /// refutation query (`facts ∧ ¬goal`), so hot-query join keys are
+    /// stable across the session switch.
+    ///
+    /// # Panics
+    ///
+    /// If `ctx.cache` is set, as [`Session::check_sat`].
+    pub fn entails(
         &mut self,
         facts: &[Expr],
         goal: &Expr,
         sorts: &dyn Fn(Var) -> Option<Sort>,
-        m: &mut SolverMetrics,
+        ctx: &mut QueryCtx,
     ) -> bool {
         let neg_goal = Expr::not(goal.clone());
-        let q: Vec<&Expr> = facts.iter().chain(std::iter::once(&neg_goal)).collect();
-        self.check_exprs(&q, sorts, m).is_unsat()
+        let q = facts.iter().chain(std::iter::once(&neg_goal));
+        self.query(q, sorts, ctx).is_unsat()
     }
 
-    /// [`Session::entails_metered`] plus per-query attribution. The
-    /// digest is computed over the refutation query (`facts ∧ ¬goal`),
-    /// matching [`crate::solver::entails_logged`], so hot-query join keys
-    /// are stable across the session switch.
-    pub fn entails_logged(
+    /// Borrows the query's expressions (never clones the facts), digests
+    /// them only when a table is attached, and answers via
+    /// [`Session::check_exprs`].
+    fn query<'q>(
         &mut self,
-        facts: &[Expr],
-        goal: &Expr,
+        q: impl Iterator<Item = &'q Expr> + Clone,
         sorts: &dyn Fn(Var) -> Option<Sort>,
-        m: &mut SolverMetrics,
-        table: &mut QueryTable,
-    ) -> (bool, u64) {
-        let neg_goal = Expr::not(goal.clone());
-        let (_, digest) = digest_over(facts.iter().chain(std::iter::once(&neg_goal)));
-        let before = *m;
-        let q: Vec<&Expr> = facts.iter().chain(std::iter::once(&neg_goal)).collect();
-        let result = self.check_exprs(&q, sorts, m);
-        table.record(digest, query_delta(&metrics_delta(m, &before)));
-        (result.is_unsat(), digest)
+        ctx: &mut QueryCtx,
+    ) -> SmtResult {
+        assert!(ctx.cache.is_none(), "session queries are never cached");
+        ctx.digest = ctx.table.is_some().then(|| render_query(q.clone()).1);
+        let before = ctx.metrics;
+        let q: Vec<&Expr> = q.collect();
+        let result = self.check_exprs(&q, sorts, &mut ctx.metrics);
+        if let (Some(table), Some(digest)) = (ctx.table.as_deref_mut(), ctx.digest) {
+            table.record(digest, query_delta(&metrics_delta(&ctx.metrics, &before)));
+        }
+        result
     }
 
     /// The shared query path. Mirrors the decision order of
-    /// [`crate::solver::check_sat_metered`] step for step: simplify each
+    /// [`crate::solver::check_sat`] step for step: simplify each
     /// assumption in order (a literal `false` short-circuits to `Unsat`),
     /// answer `Sat` on an empty residue, report the first encoding error
     /// as `Unknown`, then solve — here with assumptions against the
@@ -489,13 +441,20 @@ pub(crate) struct CacheEntry {
 /// re-verified by evaluation against the incoming query before being
 /// trusted; a model that fails verification is discarded and the query
 /// recomputed.
+///
+/// A cached `Unsat` carries no evidence, so whoever can write the cache
+/// decides it: certificate replay consults this cache, and a fabricated
+/// `Unsat` entry in a persistent store would be accepted as a proof. The
+/// store directory is therefore inside the trust base until replay stops
+/// trusting cached verdicts.
 #[derive(Default)]
 pub struct QueryCache {
     /// digest → entries whose text hashes to that digest.
     buckets: Mutex<HashMap<u64, Vec<(CacheKey, CacheEntry)>>>,
     /// Optional disk backing: consulted on memory misses, written on
     /// every memoisation. Disk entries get the exact same trust
-    /// treatment as memory entries (`Sat` models re-verified per hit).
+    /// treatment as memory entries (`Sat` models re-verified per hit,
+    /// `Unsat` trusted).
     store: Option<crate::store::QueryStore>,
 }
 
@@ -537,37 +496,41 @@ impl QueryCache {
         self.len() == 0
     }
 
-    /// Cached [`crate::solver::check_sat_logged`]: answers from the memo
-    /// table when the full query text (and configuration) matches,
+    /// The cached half of [`crate::solver::check_sat`]: answers from the
+    /// memo table when the full query text (and configuration) matches,
     /// computing from scratch and memoising otherwise. Cache traffic is
-    /// counted into `cm`; hits replay the original run's metric and
-    /// attribution deltas (marked with `hits=1` in the query table).
-    pub fn check_sat_logged(
+    /// counted into `ctx.cache_metrics`; hits replay the original run's
+    /// metric and attribution deltas (marked with `hits=1` in the query
+    /// table).
+    pub(crate) fn answer(
         &self,
         assumptions: &[Expr],
         sorts: &dyn Fn(Var) -> Option<Sort>,
         cfg: &SolverConfig,
-        m: &mut SolverMetrics,
-        table: &mut QueryTable,
-        cm: &mut CacheMetrics,
-    ) -> (SmtResult, u64) {
-        let (text, digest) = digest_over(assumptions.iter());
+        text: String,
+        digest: u64,
+        ctx: &mut QueryCtx,
+    ) -> SmtResult {
         if let Some(entry) = self.lookup(digest, cfg, &text) {
             if self.hit_is_trusted(&entry, assumptions, sorts) {
-                cm.hits += 1;
-                m.absorb(&entry.solver_delta);
-                let mut qs = entry.query_delta;
-                qs.hits = 1;
-                table.record(digest, qs);
-                return (entry.result, digest);
+                ctx.cache_metrics.hits += 1;
+                ctx.metrics.absorb(&entry.solver_delta);
+                if let Some(table) = ctx.table.as_deref_mut() {
+                    let mut qs = entry.query_delta;
+                    qs.hits = 1;
+                    table.record(digest, qs);
+                }
+                return entry.result;
             }
         }
-        cm.misses += 1;
-        let before = *m;
-        let result = crate::solver::check_sat_metered(assumptions, sorts, cfg, m);
-        let solver_delta = metrics_delta(m, &before);
+        ctx.cache_metrics.misses += 1;
+        let before = ctx.metrics;
+        let result = solve(assumptions, sorts, cfg, &mut ctx.metrics);
+        let solver_delta = metrics_delta(&ctx.metrics, &before);
         let qs = query_delta(&solver_delta);
-        table.record(digest, qs);
+        if let Some(table) = ctx.table.as_deref_mut() {
+            table.record(digest, qs);
+        }
         self.insert(
             digest,
             CacheKey::new(cfg, text),
@@ -577,25 +540,7 @@ impl QueryCache {
                 query_delta: qs,
             },
         );
-        (result, digest)
-    }
-
-    /// Cached [`crate::solver::entails_logged`] (see
-    /// [`QueryCache::check_sat_logged`]).
-    pub fn entails_logged(
-        &self,
-        facts: &[Expr],
-        goal: &Expr,
-        sorts: &dyn Fn(Var) -> Option<Sort>,
-        cfg: &SolverConfig,
-        m: &mut SolverMetrics,
-        table: &mut QueryTable,
-        cm: &mut CacheMetrics,
-    ) -> (bool, u64) {
-        let mut q: Vec<Expr> = facts.to_vec();
-        q.push(Expr::not(goal.clone()));
-        let (result, digest) = self.check_sat_logged(&q, sorts, cfg, m, table, cm);
-        (result.is_unsat(), digest)
+        result
     }
 
     /// A cached `Sat` model must still satisfy the incoming query;
@@ -677,7 +622,8 @@ impl QueryCache {
 mod tests {
     use super::*;
     use crate::expr::{BvCmp, Value};
-    use crate::solver::{check_sat_metered, entails_metered, query_digest};
+    use crate::solver::{check_sat, entails, query_digest};
+    use islaris_obs::{CacheMetrics, QueryTable};
 
     fn sorts64(v: Var) -> Option<Sort> {
         (v.0 < 16).then_some(Sort::BitVec(64))
@@ -685,6 +631,29 @@ mod tests {
 
     fn cfg() -> SolverConfig {
         SolverConfig::default()
+    }
+
+    /// A context recording into `t` through `cache`.
+    fn cached<'a>(cache: &'a QueryCache, t: &'a mut QueryTable) -> QueryCtx<'a> {
+        QueryCtx {
+            table: Some(t),
+            cache: Some(cache),
+            ..QueryCtx::default()
+        }
+    }
+
+    /// One logged, cached query against a fresh table; returns the
+    /// verdict, the digest, and the context's counters.
+    fn cached_check(
+        cache: &QueryCache,
+        q: &[Expr],
+        cfg: &SolverConfig,
+    ) -> (SmtResult, u64, SolverMetrics, CacheMetrics) {
+        let mut t = QueryTable::default();
+        let mut ctx = cached(cache, &mut t);
+        let r = check_sat(q, &sorts64, cfg, &mut ctx);
+        let digest = ctx.digest.expect("a cache is attached");
+        (r, digest, ctx.metrics, ctx.cache_metrics)
     }
 
     #[test]
@@ -705,12 +674,12 @@ mod tests {
         for fact in pushes {
             facts.push(fact);
             for goal in &goals {
-                let mut ms = SolverMetrics::default();
-                let mut mf = SolverMetrics::default();
-                let inc = session.entails_metered(&facts, goal, &sorts64, &mut ms);
-                let scratch = entails_metered(&facts, goal, &sorts64, &cfg(), &mut mf);
+                let mut ms = QueryCtx::default();
+                let mut mf = QueryCtx::default();
+                let inc = session.entails(&facts, goal, &sorts64, &mut ms);
+                let scratch = entails(&facts, goal, &sorts64, &cfg(), &mut mf);
                 assert_eq!(inc, scratch, "facts={facts:?} goal={goal}");
-                assert_eq!(ms.queries, 1);
+                assert_eq!(ms.metrics.queries, 1);
             }
         }
         let m = session.metrics();
@@ -729,19 +698,22 @@ mod tests {
         let goal = Expr::cmp(BvCmp::Ult, x.clone(), Expr::bv(64, 200));
         let facts = vec![trivial, fact];
         let mut session = Session::new(cfg());
-        let mut m = SolverMetrics::default();
-        assert!(session.entails_metered(&facts, &goal, &sorts64, &mut m));
+        let mut m = QueryCtx::default();
+        assert!(session.entails(&facts, &goal, &sorts64, &mut m));
         let simplified_once = session.simplified.len();
         let encoded_once = session.metrics().facts_encoded;
-        let clauses_once = m.cnf_clauses;
+        let clauses_once = m.metrics.cnf_clauses;
         assert!(encoded_once > 0);
         // Re-issuing the same query touches no new simplifier or encoder
         // work — and still answers the same.
-        let mut m2 = SolverMetrics::default();
-        assert!(session.entails_metered(&facts, &goal, &sorts64, &mut m2));
+        let mut m2 = QueryCtx::default();
+        assert!(session.entails(&facts, &goal, &sorts64, &mut m2));
         assert_eq!(session.simplified.len(), simplified_once);
         assert_eq!(session.metrics().facts_encoded, encoded_once);
-        assert_eq!(m2.cnf_clauses, 0, "no new clauses on a repeated query");
+        assert_eq!(
+            m2.metrics.cnf_clauses, 0,
+            "no new clauses on a repeated query"
+        );
         assert!(clauses_once > 0);
     }
 
@@ -753,8 +725,8 @@ mod tests {
             Expr::bv(64, 44),
         )];
         let mut session = Session::new(cfg());
-        let mut m = SolverMetrics::default();
-        match session.check_sat_metered(&q, &sorts64, &mut m) {
+        let mut m = QueryCtx::default();
+        match session.check_sat(&q, &sorts64, &mut m) {
             SmtResult::Sat(model) => {
                 assert_eq!(
                     model.get(Var(0)),
@@ -763,12 +735,12 @@ mod tests {
             }
             other => panic!("expected sat, got {other:?}"),
         }
-        assert_eq!(m.model_verifies, 1);
+        assert_eq!(m.metrics.model_verifies, 1);
         // A contradictory follow-up over the same session is unsat.
         let q2 = [q[0].clone(), Expr::eq(x.clone(), Expr::bv(64, 7))];
-        assert!(session.check_sat_metered(&q2, &sorts64, &mut m).is_unsat());
+        assert!(session.check_sat(&q2, &sorts64, &mut m).is_unsat());
         // And the original query still answers sat afterwards.
-        assert!(session.check_sat_metered(&q, &sorts64, &mut m).is_sat());
+        assert!(session.check_sat(&q, &sorts64, &mut m).is_sat());
     }
 
     #[test]
@@ -777,9 +749,13 @@ mod tests {
         let facts = [Expr::cmp(BvCmp::Ult, x.clone(), Expr::bv(64, 5))];
         let goal = Expr::cmp(BvCmp::Ult, x.clone(), Expr::bv(64, 9));
         let mut session = Session::new(cfg());
-        let mut m = SolverMetrics::default();
         let mut t = QueryTable::default();
-        let (holds, digest) = session.entails_logged(&facts, &goal, &sorts64, &mut m, &mut t);
+        let mut ctx = QueryCtx {
+            table: Some(&mut t),
+            ..QueryCtx::default()
+        };
+        let holds = session.entails(&facts, &goal, &sorts64, &mut ctx);
+        let digest = ctx.digest.expect("a table is attached");
         assert!(holds);
         let mut refutation = facts.to_vec();
         refutation.push(Expr::not(goal));
@@ -794,13 +770,13 @@ mod tests {
         let facts = [Expr::cmp(BvCmp::Ult, x.clone(), Expr::bv(64, 5))];
         let goal = Expr::cmp(BvCmp::Ult, x.clone(), Expr::bv(64, 9));
         let mut session = Session::new(SolverConfig::paranoid());
-        let mut m = SolverMetrics::default();
-        assert!(session.entails_metered(&facts, &goal, &sorts64, &mut m));
+        let mut m = QueryCtx::default();
+        assert!(session.entails(&facts, &goal, &sorts64, &mut m));
         assert_eq!(session.metrics().fallback_solves, 1);
-        assert_eq!(m.queries, 1, "the fallback is not a second query");
+        assert_eq!(m.metrics.queries, 1, "the fallback is not a second query");
         // A satisfiable query needs no fallback even when paranoid.
         let sat_q = [Expr::eq(x.clone(), Expr::bv(64, 3))];
-        assert!(session.check_sat_metered(&sat_q, &sorts64, &mut m).is_sat());
+        assert!(session.check_sat(&sat_q, &sorts64, &mut m).is_sat());
         assert_eq!(session.metrics().fallback_solves, 1);
     }
 
@@ -812,9 +788,8 @@ mod tests {
             Expr::bv(64, 1),
         )];
         let mut session = Session::new(cfg());
-        let mut ms = SolverMetrics::default();
-        let inc = session.check_sat_metered(&q, &sorts64, &mut ms);
-        let scratch = check_sat_metered(&q, &sorts64, &cfg(), &mut SolverMetrics::default());
+        let inc = session.check_sat(&q, &sorts64, &mut QueryCtx::default());
+        let scratch = check_sat(&q, &sorts64, &cfg(), &mut QueryCtx::default());
         match (inc, scratch) {
             (SmtResult::Unknown(a), SmtResult::Unknown(b)) => assert_eq!(a, b),
             other => panic!("expected matching unknowns, got {other:?}"),
@@ -827,21 +802,20 @@ mod tests {
         let x = Expr::var(Var(0));
         let facts = [Expr::cmp(BvCmp::Ult, x.clone(), Expr::bv(64, 5))];
         let goal = Expr::cmp(BvCmp::Ult, x.clone(), Expr::bv(64, 9));
-        let mut m1 = SolverMetrics::default();
         let mut t1 = QueryTable::default();
-        let mut cm = CacheMetrics::default();
-        let (h1, d1) =
-            cache.entails_logged(&facts, &goal, &sorts64, &cfg(), &mut m1, &mut t1, &mut cm);
+        let mut c1 = cached(&cache, &mut t1);
+        let h1 = entails(&facts, &goal, &sorts64, &cfg(), &mut c1);
+        let (d1, m1, cm1) = (c1.digest.unwrap(), c1.metrics, c1.cache_metrics);
         assert!(h1);
-        assert_eq!((cm.hits, cm.misses), (0, 1));
+        assert_eq!((cm1.hits, cm1.misses), (0, 1));
         assert_eq!(cache.len(), 1);
-        let mut m2 = SolverMetrics::default();
         let mut t2 = QueryTable::default();
-        let (h2, d2) =
-            cache.entails_logged(&facts, &goal, &sorts64, &cfg(), &mut m2, &mut t2, &mut cm);
+        let mut c2 = cached(&cache, &mut t2);
+        let h2 = entails(&facts, &goal, &sorts64, &cfg(), &mut c2);
+        let (d2, m2, cm2) = (c2.digest.unwrap(), c2.metrics, c2.cache_metrics);
         assert!(h2);
         assert_eq!(d1, d2);
-        assert_eq!((cm.hits, cm.misses), (1, 1));
+        assert_eq!((cm2.hits, cm2.misses), (1, 0));
         // The hit replays the original effort delta exactly; only the
         // `hits` marker differs.
         assert_eq!(m1, m2);
@@ -854,14 +828,10 @@ mod tests {
     fn cache_distinguishes_configurations() {
         let cache = QueryCache::new();
         let q = [Expr::bool(false)];
-        let mut cm = CacheMetrics::default();
-        let mut m = SolverMetrics::default();
-        let mut t = QueryTable::default();
-        let _ = cache.check_sat_logged(&q, &sorts64, &cfg(), &mut m, &mut t, &mut cm);
-        let paranoid = SolverConfig::paranoid();
-        let _ = cache.check_sat_logged(&q, &sorts64, &paranoid, &mut m, &mut t, &mut cm);
+        let (_, _, _, cm1) = cached_check(&cache, &q, &cfg());
+        let (_, _, _, cm2) = cached_check(&cache, &q, &SolverConfig::paranoid());
         assert_eq!(
-            (cm.hits, cm.misses),
+            (cm1.hits + cm2.hits, cm1.misses + cm2.misses),
             (0, 2),
             "different configurations never share entries"
         );
@@ -877,20 +847,14 @@ mod tests {
 
         // Cold process: miss, compute, persist.
         let cold = QueryCache::persistent(&dir).unwrap();
-        let mut m1 = SolverMetrics::default();
-        let mut t1 = QueryTable::default();
-        let mut cm1 = CacheMetrics::default();
-        let (r1, d1) = cold.check_sat_logged(&q, &sorts64, &cfg(), &mut m1, &mut t1, &mut cm1);
+        let (r1, d1, m1, cm1) = cached_check(&cold, &q, &cfg());
         assert!(r1.is_sat());
         assert_eq!((cm1.hits, cm1.misses), (0, 1));
 
         // "Restarted" process: same store, empty memory. The disk hit
         // replays the verdict (model re-verified) and the effort deltas.
         let warm = QueryCache::persistent(&dir).unwrap();
-        let mut m2 = SolverMetrics::default();
-        let mut t2 = QueryTable::default();
-        let mut cm2 = CacheMetrics::default();
-        let (r2, d2) = warm.check_sat_logged(&q, &sorts64, &cfg(), &mut m2, &mut t2, &mut cm2);
+        let (r2, d2, m2, cm2) = cached_check(&warm, &q, &cfg());
         assert_eq!(d1, d2);
         assert_eq!(r1, r2, "disk hit replays the exact verdict and model");
         assert_eq!((cm2.hits, cm2.misses), (1, 0), "a warm restart hits");
@@ -899,9 +863,7 @@ mod tests {
         assert_eq!((sm.disk_hits, sm.evictions), (1, 0));
 
         // Second lookup stays in memory.
-        let mut m3 = SolverMetrics::default();
-        let mut t3 = QueryTable::default();
-        let _ = warm.check_sat_logged(&q, &sorts64, &cfg(), &mut m3, &mut t3, &mut cm2);
+        let _ = cached_check(&warm, &q, &cfg());
         assert_eq!(warm.store_metrics().unwrap().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -912,14 +874,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let q = [Expr::bool(false)];
         let cold = QueryCache::persistent(&dir).unwrap();
-        let mut m = SolverMetrics::default();
-        let mut t = QueryTable::default();
-        let mut cm = CacheMetrics::default();
-        let (r, _) = cold.check_sat_logged(&q, &sorts64, &cfg(), &mut m, &mut t, &mut cm);
+        let (r, _, _, _) = cached_check(&cold, &q, &cfg());
         assert!(r.is_unsat());
 
         // Bit-flip the single on-disk entry, then restart.
-        let store = crate::store::QueryStore::open(&dir).unwrap();
         let entry_path = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(Result::ok)
@@ -930,19 +888,16 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&entry_path, &bytes).unwrap();
-        drop(store);
 
         let warm = QueryCache::persistent(&dir).unwrap();
-        let mut cm2 = CacheMetrics::default();
-        let (r2, _) = warm.check_sat_logged(&q, &sorts64, &cfg(), &mut m, &mut t, &mut cm2);
+        let (r2, _, _, cm2) = cached_check(&warm, &q, &cfg());
         assert!(r2.is_unsat(), "recompute restores the true verdict");
         assert_eq!((cm2.hits, cm2.misses), (0, 1), "corruption is a sound miss");
         let sm = warm.store_metrics().unwrap();
         assert_eq!(sm.evictions, 1, "the corrupt file was evicted");
         // The recompute re-persisted a good entry: a fresh restart hits.
         let healed = QueryCache::persistent(&dir).unwrap();
-        let mut cm3 = CacheMetrics::default();
-        let _ = healed.check_sat_logged(&q, &sorts64, &cfg(), &mut m, &mut t, &mut cm3);
+        let (_, _, _, cm3) = cached_check(&healed, &q, &cfg());
         assert_eq!((cm3.hits, cm3.misses), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -954,14 +909,11 @@ mod tests {
         // Memoise an UNSAT verdict, then plant it under the digest of a
         // *different* (satisfiable) query, simulating a digest collision.
         let unsat_q = [Expr::bool(false)];
-        let mut cm = CacheMetrics::default();
-        let mut m = SolverMetrics::default();
-        let mut t = QueryTable::default();
-        let (r, _) = cache.check_sat_logged(&unsat_q, &sorts64, &cfg(), &mut m, &mut t, &mut cm);
+        let (r, _, _, cm1) = cached_check(&cache, &unsat_q, &cfg());
         assert!(r.is_unsat());
         let sat_q = [Expr::eq(x.clone(), Expr::bv(64, 1))];
-        let (unsat_text, _) = digest_over(unsat_q.iter());
-        let (_, sat_digest) = digest_over(sat_q.iter());
+        let (unsat_text, _) = render_query(unsat_q.iter());
+        let (_, sat_digest) = render_query(sat_q.iter());
         // Move the existing entry into the colliding bucket.
         let entry = {
             let buckets = cache.lock();
@@ -971,10 +923,10 @@ mod tests {
         cache.insert(sat_digest, entry.0, entry.1);
         // Same digest bucket, different text: the lookup must miss and
         // the query must be recomputed to its true verdict.
-        let (r2, d2) = cache.check_sat_logged(&sat_q, &sorts64, &cfg(), &mut m, &mut t, &mut cm);
+        let (r2, d2, _, cm2) = cached_check(&cache, &sat_q, &cfg());
         assert_eq!(d2, sat_digest);
         assert!(r2.is_sat(), "collision must degrade to a miss, not lie");
-        assert_eq!(cm.hits, 0);
+        assert_eq!(cm1.hits + cm2.hits, 0);
     }
 
     #[test]
@@ -982,7 +934,7 @@ mod tests {
         let cache = QueryCache::new();
         let x = Expr::var(Var(0));
         let q = [Expr::eq(x.clone(), Expr::bv(64, 42))];
-        let (text, digest) = digest_over(q.iter());
+        let (text, digest) = render_query(q.iter());
         // Plant a Sat entry whose model violates the query: textually
         // equal key, wrong model (as if the original computation had been
         // corrupted).
@@ -997,10 +949,7 @@ mod tests {
                 query_delta: QueryStats::default(),
             },
         );
-        let mut cm = CacheMetrics::default();
-        let mut m = SolverMetrics::default();
-        let mut t = QueryTable::default();
-        let (r, _) = cache.check_sat_logged(&q, &sorts64, &cfg(), &mut m, &mut t, &mut cm);
+        let (r, _, _, cm) = cached_check(&cache, &q, &cfg());
         match r {
             SmtResult::Sat(model) => {
                 assert_eq!(
@@ -1018,8 +967,8 @@ mod tests {
         );
         // The recomputation evicted the corrupt entry: the next lookup is
         // a genuine, verified hit.
-        let (r2, _) = cache.check_sat_logged(&q, &sorts64, &cfg(), &mut m, &mut t, &mut cm);
+        let (r2, _, _, cm2) = cached_check(&cache, &q, &cfg());
         assert!(r2.is_sat());
-        assert_eq!(cm.hits, 1);
+        assert_eq!(cm.hits + cm2.hits, 1);
     }
 }

@@ -8,12 +8,13 @@
 
 use std::collections::BTreeMap;
 
-use islaris_obs::{fnv1a, QueryStats, QueryTable, SolverMetrics};
+use islaris_obs::{fnv1a, CacheMetrics, QueryStats, QueryTable, SolverMetrics};
 
 use crate::cnf::{BlastError, Blaster};
 use crate::eval::eval_bool;
 use crate::expr::{Expr, Sort, Value, Var};
 use crate::sat::{check_rup_proof, trim_proof, RupProof, SatConfig, SatOutcome};
+use crate::session::QueryCache;
 use crate::simplify::{propagate_constants, simplify};
 
 /// Configuration for a solver query.
@@ -132,26 +133,85 @@ impl SmtResult {
     }
 }
 
+/// The optional collaborators of a solver query, threaded through one
+/// parameter instead of one function name per combination.
+///
+/// Only [`QueryCtx::metrics`] is always written. A query renders its
+/// text (and computes its digest) only when a [`QueryCtx::table`] or a
+/// [`QueryCtx::cache`] is attached, so a caller with no sinks passes
+/// `&mut QueryCtx::default()` and pays for nothing else.
+#[derive(Default)]
+pub struct QueryCtx<'a> {
+    /// Typed counters, accumulated over every query run through this
+    /// context: outcome, CNF size, and SAT effort. Deterministic (the
+    /// solver has no randomness), so profiles built from them are
+    /// byte-comparable across runs.
+    pub metrics: SolverMetrics,
+    /// Per-query attribution: each query's effort delta (CNF clauses,
+    /// propagations, decisions, conflicts) is recorded under its digest.
+    pub table: Option<&'a mut QueryTable>,
+    /// Shared memo table consulted before solving from scratch. Hits
+    /// replay the original run's metric and attribution deltas (marked
+    /// `hits=1` in the table), so every counter but the cache traffic is
+    /// identical with the cache on or off.
+    pub cache: Option<&'a QueryCache>,
+    /// Traffic against [`QueryCtx::cache`].
+    pub cache_metrics: CacheMetrics,
+    /// Digest of the most recent query (see [`query_digest`]), for
+    /// stamping onto proof-trace events. `None` when that query ran with
+    /// neither a table nor a cache attached.
+    pub digest: Option<u64>,
+}
+
 /// Checks satisfiability of the conjunction of `assumptions`.
 ///
 /// `sorts` supplies the sort of every free variable. Models are verified by
 /// evaluating every assumption; a failed verification (an internal
 /// soundness bug) is reported as `Unknown` rather than a wrong answer.
+/// Effort, attribution and cache traffic go to `ctx`.
 #[must_use]
 pub fn check_sat(
     assumptions: &[Expr],
     sorts: &dyn Fn(Var) -> Option<Sort>,
     cfg: &SolverConfig,
+    ctx: &mut QueryCtx,
 ) -> SmtResult {
-    check_sat_metered(assumptions, sorts, cfg, &mut SolverMetrics::default())
+    if ctx.table.is_none() && ctx.cache.is_none() {
+        ctx.digest = None;
+        return solve(assumptions, sorts, cfg, &mut ctx.metrics);
+    }
+    let (text, digest) = render_query(assumptions.iter());
+    ctx.digest = Some(digest);
+    if let Some(cache) = ctx.cache {
+        return cache.answer(assumptions, sorts, cfg, text, digest, ctx);
+    }
+    let before = ctx.metrics;
+    let result = solve(assumptions, sorts, cfg, &mut ctx.metrics);
+    if let Some(table) = ctx.table.as_deref_mut() {
+        table.record(digest, query_delta(&metrics_delta(&ctx.metrics, &before)));
+    }
+    result
 }
 
-/// [`check_sat`] with typed counters: every query records its outcome,
-/// the CNF size produced by bit-blasting, and the SAT solver's
-/// propagation/decision/conflict effort into `m`. The answer is identical
-/// to [`check_sat`]'s; the counters are deterministic (the solver has no
-/// randomness), so profiles built from them are byte-comparable across
-/// runs.
+/// Does `facts ⟹ goal` hold (validity of the implication)?
+///
+/// Decided by refutation: `facts ∧ ¬goal` unsatisfiable. `Unknown` answers
+/// count as *not proven* (sound for verification: obligations fail rather
+/// than pass). The digest covers the refutation query the entailment
+/// actually sends, so it matches a direct [`check_sat`] of that query.
+#[must_use]
+pub fn entails(
+    facts: &[Expr],
+    goal: &Expr,
+    sorts: &dyn Fn(Var) -> Option<Sort>,
+    cfg: &SolverConfig,
+    ctx: &mut QueryCtx,
+) -> bool {
+    let mut q: Vec<Expr> = facts.to_vec();
+    q.push(Expr::not(goal.clone()));
+    check_sat(&q, sorts, cfg, ctx).is_unsat()
+}
+
 /// The preprocessed form of a query: decided outright by simplification
 /// and folding, or bit-blasted and ready for the SAT core.
 enum Preblast {
@@ -236,9 +296,11 @@ fn preblast(
     Preblast::Blasted(Box::new(blaster), simplified)
 }
 
-#[must_use]
+/// The from-scratch query: [`preblast`], then a fresh CDCL solve. Every
+/// query records its outcome, the CNF size produced by bit-blasting, and
+/// the SAT solver's propagation/decision/conflict effort into `m`.
 #[allow(clippy::too_many_lines)]
-pub fn check_sat_metered(
+pub(crate) fn solve(
     assumptions: &[Expr],
     sorts: &dyn Fn(Var) -> Option<Sort>,
     cfg: &SolverConfig,
@@ -325,89 +387,51 @@ pub fn check_sat_metered(
 /// hot-query attribution table (DESIGN §9).
 #[must_use]
 pub fn query_digest(assumptions: &[Expr]) -> u64 {
+    render_query(assumptions.iter()).1
+}
+
+/// The rendered query text [`query_digest`] hashes, plus the digest.
+pub(crate) fn render_query<'a>(exprs: impl Iterator<Item = &'a Expr>) -> (String, u64) {
     use std::fmt::Write;
     let mut text = String::new();
-    for a in assumptions {
+    for a in exprs {
         let _ = writeln!(text, "{a}");
     }
-    fnv1a(text.as_bytes())
+    let digest = fnv1a(text.as_bytes());
+    (text, digest)
 }
 
-/// [`check_sat_metered`] plus per-query attribution: the query's digest
-/// and effort delta (CNF clauses, propagations, decisions, conflicts)
-/// are recorded under the digest in `table`. Returns the digest alongside
-/// the answer so callers can stamp it onto proof-trace events.
-#[must_use]
-pub fn check_sat_logged(
-    assumptions: &[Expr],
-    sorts: &dyn Fn(Var) -> Option<Sort>,
-    cfg: &SolverConfig,
-    m: &mut SolverMetrics,
-    table: &mut QueryTable,
-) -> (SmtResult, u64) {
-    let digest = query_digest(assumptions);
-    let before = *m;
-    let result = check_sat_metered(assumptions, sorts, cfg, m);
-    table.record(
-        digest,
-        QueryStats {
-            count: 1,
-            cnf_clauses: m.cnf_clauses - before.cnf_clauses,
-            propagations: m.propagations - before.propagations,
-            decisions: m.decisions - before.decisions,
-            conflicts: m.conflicts - before.conflicts,
-            hits: 0,
-        },
-    );
-    (result, digest)
+/// Field-wise difference `after - before` of two solver-metric snapshots.
+pub(crate) fn metrics_delta(after: &SolverMetrics, before: &SolverMetrics) -> SolverMetrics {
+    SolverMetrics {
+        queries: after.queries - before.queries,
+        sat: after.sat - before.sat,
+        unsat: after.unsat - before.unsat,
+        unknown: after.unknown - before.unknown,
+        model_verifies: after.model_verifies - before.model_verifies,
+        cnf_vars: after.cnf_vars - before.cnf_vars,
+        cnf_clauses: after.cnf_clauses - before.cnf_clauses,
+        propagations: after.propagations - before.propagations,
+        decisions: after.decisions - before.decisions,
+        conflicts: after.conflicts - before.conflicts,
+        restarts: after.restarts - before.restarts,
+        reduced: after.reduced - before.reduced,
+        minimized: after.minimized - before.minimized,
+        folded: after.folded - before.folded,
+        trimmed: after.trimmed - before.trimmed,
+    }
 }
 
-/// Does `facts ⟹ goal` hold (validity of the implication)?
-///
-/// Decided by refutation: `facts ∧ ¬goal` unsatisfiable. `Unknown` answers
-/// count as *not proven* (sound for verification: obligations fail rather
-/// than pass).
-#[must_use]
-pub fn entails(
-    facts: &[Expr],
-    goal: &Expr,
-    sorts: &dyn Fn(Var) -> Option<Sort>,
-    cfg: &SolverConfig,
-) -> bool {
-    entails_metered(facts, goal, sorts, cfg, &mut SolverMetrics::default())
-}
-
-/// [`entails`] with typed counters (see [`check_sat_metered`]).
-#[must_use]
-pub fn entails_metered(
-    facts: &[Expr],
-    goal: &Expr,
-    sorts: &dyn Fn(Var) -> Option<Sort>,
-    cfg: &SolverConfig,
-    m: &mut SolverMetrics,
-) -> bool {
-    let mut q: Vec<Expr> = facts.to_vec();
-    q.push(Expr::not(goal.clone()));
-    check_sat_metered(&q, sorts, cfg, m).is_unsat()
-}
-
-/// [`entails_metered`] plus per-query attribution (see
-/// [`check_sat_logged`]). The digest is computed over the refutation
-/// query the entailment actually sends (`facts ∧ ¬goal`), so it matches
-/// what a direct [`check_sat_logged`] of that query would record.
-#[must_use]
-pub fn entails_logged(
-    facts: &[Expr],
-    goal: &Expr,
-    sorts: &dyn Fn(Var) -> Option<Sort>,
-    cfg: &SolverConfig,
-    m: &mut SolverMetrics,
-    table: &mut QueryTable,
-) -> (bool, u64) {
-    let mut q: Vec<Expr> = facts.to_vec();
-    q.push(Expr::not(goal.clone()));
-    let (result, digest) = check_sat_logged(&q, sorts, cfg, m, table);
-    (result.is_unsat(), digest)
+/// The per-query attribution record derived from a metrics delta.
+pub(crate) fn query_delta(delta: &SolverMetrics) -> QueryStats {
+    QueryStats {
+        count: 1,
+        cnf_clauses: delta.cnf_clauses,
+        propagations: delta.propagations,
+        decisions: delta.decisions,
+        conflicts: delta.conflicts,
+        hits: 0,
+    }
 }
 
 /// Proves `facts ⟹ goal` and returns the trimmed, hinted RUP refutation
@@ -449,7 +473,7 @@ pub fn entails_proof(
 /// the replay (a query that never enters CDCL search). `false` means the
 /// stored proof does not apply (the query no longer reaches the SAT core,
 /// or the proof is stale or tampered): the caller must fall back to a
-/// full [`entails_metered`]-style solve, so a bad proof degrades to
+/// full [`entails`] solve, so a bad proof degrades to
 /// search, never to acceptance.
 #[must_use]
 pub fn entails_via_proof(
@@ -477,24 +501,6 @@ pub fn entails_via_proof(
     }
 }
 
-/// Can `facts ∧ extra` hold? `Unknown` counts as *possibly satisfiable*
-/// (sound for branch pruning: unprunable branches stay).
-#[must_use]
-pub fn maybe_sat(facts: &[Expr], sorts: &dyn Fn(Var) -> Option<Sort>, cfg: &SolverConfig) -> bool {
-    !check_sat(facts, sorts, cfg).is_unsat()
-}
-
-/// [`maybe_sat`] with typed counters (see [`check_sat_metered`]).
-#[must_use]
-pub fn maybe_sat_metered(
-    facts: &[Expr],
-    sorts: &dyn Fn(Var) -> Option<Sort>,
-    cfg: &SolverConfig,
-    m: &mut SolverMetrics,
-) -> bool {
-    !check_sat_metered(facts, sorts, cfg, m).is_unsat()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,19 +516,25 @@ mod tests {
 
     #[test]
     fn empty_query_is_sat() {
-        assert!(check_sat(&[], &sorts64, &cfg()).is_sat());
+        assert!(check_sat(&[], &sorts64, &cfg(), &mut QueryCtx::default()).is_sat());
     }
 
     #[test]
     fn literal_false_is_unsat() {
-        assert!(check_sat(&[Expr::bool(false)], &sorts64, &cfg()).is_unsat());
+        assert!(check_sat(
+            &[Expr::bool(false)],
+            &sorts64,
+            &cfg(),
+            &mut QueryCtx::default()
+        )
+        .is_unsat());
     }
 
     #[test]
     fn model_is_returned_and_correct() {
         let x = Expr::var(Var(0));
         let q = [Expr::eq(Expr::add(x, Expr::bv(64, 2)), Expr::bv(64, 44))];
-        match check_sat(&q, &sorts64, &cfg()) {
+        match check_sat(&q, &sorts64, &cfg(), &mut QueryCtx::default()) {
             SmtResult::Sat(m) => {
                 assert_eq!(
                     m.get(Var(0)),
@@ -540,7 +552,7 @@ mod tests {
         // while `get_or_default` yields the zero of the requested sort.
         let x = Expr::var(Var(0));
         let q = [Expr::eq(x, Expr::bv(64, 7))];
-        match check_sat(&q, &sorts64, &cfg()) {
+        match check_sat(&q, &sorts64, &cfg(), &mut QueryCtx::default()) {
             SmtResult::Sat(m) => {
                 assert_eq!(m.get(Var(1)), None, "unseen variable has no value");
                 assert_eq!(
@@ -566,13 +578,20 @@ mod tests {
             Expr::cmp(BvCmp::Ult, y.clone(), z.clone()),
         ];
         let goal = Expr::cmp(BvCmp::Ult, x.clone(), z.clone());
-        assert!(entails(&facts, &goal, &sorts64, &cfg()));
+        assert!(entails(
+            &facts,
+            &goal,
+            &sorts64,
+            &cfg(),
+            &mut QueryCtx::default()
+        ));
         // And the converse is not entailed.
         assert!(!entails(
             &facts,
             &Expr::cmp(BvCmp::Ult, z, x),
             &sorts64,
-            &cfg()
+            &cfg(),
+            &mut QueryCtx::default()
         ));
     }
 
@@ -581,10 +600,22 @@ mod tests {
         // x < x + 1 is NOT valid at width 64 (x = max wraps).
         let x = Expr::var(Var(0));
         let goal = Expr::cmp(BvCmp::Ult, x.clone(), Expr::add(x.clone(), Expr::bv(64, 1)));
-        assert!(!entails(&[], &goal, &sorts64, &cfg()));
+        assert!(!entails(
+            &[],
+            &goal,
+            &sorts64,
+            &cfg(),
+            &mut QueryCtx::default()
+        ));
         // But it is valid given x ≠ max.
         let fact = Expr::not(Expr::eq(x.clone(), Expr::bits(islaris_bv::Bv::ones(64))));
-        assert!(entails(&[fact], &goal, &sorts64, &cfg()));
+        assert!(entails(
+            &[fact],
+            &goal,
+            &sorts64,
+            &cfg(),
+            &mut QueryCtx::default()
+        ));
     }
 
     #[test]
@@ -595,7 +626,7 @@ mod tests {
             Expr::bv(64, 1),
         )];
         assert!(matches!(
-            check_sat(&q, &sorts64, &cfg()),
+            check_sat(&q, &sorts64, &cfg(), &mut QueryCtx::default()),
             SmtResult::Unknown(_)
         ));
     }
@@ -603,19 +634,20 @@ mod tests {
     #[test]
     fn metered_queries_count_outcomes_and_effort() {
         let x = Expr::var(Var(0));
-        let mut m = SolverMetrics::default();
+        let mut ctx = QueryCtx::default();
         // One sat query (with a model verify), one unsat, one unknown.
         let sat_q = [Expr::eq(x.clone(), Expr::bv(64, 42))];
-        assert!(check_sat_metered(&sat_q, &sorts64, &cfg(), &mut m).is_sat());
-        assert!(check_sat_metered(&[Expr::bool(false)], &sorts64, &cfg(), &mut m).is_unsat());
+        assert!(check_sat(&sat_q, &sorts64, &cfg(), &mut ctx).is_sat());
+        assert!(check_sat(&[Expr::bool(false)], &sorts64, &cfg(), &mut ctx).is_unsat());
         let div = [Expr::eq(
             Expr::binop(crate::expr::BvBinop::Udiv, x.clone(), x.clone()),
             Expr::bv(64, 1),
         )];
         assert!(matches!(
-            check_sat_metered(&div, &sorts64, &cfg(), &mut m),
+            check_sat(&div, &sorts64, &cfg(), &mut ctx),
             SmtResult::Unknown(_)
         ));
+        let m = ctx.metrics;
         assert_eq!(m.queries, 3);
         assert_eq!(m.sat, 1);
         assert_eq!(m.unsat, 1);
@@ -624,18 +656,27 @@ mod tests {
         assert!(m.cnf_vars > 0, "sat query must have been blasted");
         assert!(m.cnf_clauses > 0);
         assert!(m.propagations > 0, "blasted query must propagate");
-        // Metered and unmetered answers agree.
-        let mut m2 = SolverMetrics::default();
+        assert_eq!(ctx.digest, None, "no table or cache: no digest rendered");
+        // Answers agree with and without a table attached.
+        let mut t = QueryTable::default();
         assert_eq!(
-            check_sat(&sat_q, &sorts64, &cfg()),
-            check_sat_metered(&sat_q, &sorts64, &cfg(), &mut m2)
+            check_sat(&sat_q, &sorts64, &cfg(), &mut QueryCtx::default()),
+            check_sat(
+                &sat_q,
+                &sorts64,
+                &cfg(),
+                &mut QueryCtx {
+                    table: Some(&mut t),
+                    ..QueryCtx::default()
+                }
+            )
         );
-        // entails_metered counts exactly one query.
-        let mut m3 = SolverMetrics::default();
+        // entails counts exactly one query.
+        let mut ctx3 = QueryCtx::default();
         let goal = Expr::cmp(BvCmp::Ult, x.clone(), Expr::bv(64, 43));
-        assert!(entails_metered(&sat_q, &goal, &sorts64, &cfg(), &mut m3));
-        assert_eq!(m3.queries, 1);
-        assert_eq!(m3.unsat, 1);
+        assert!(entails(&sat_q, &goal, &sorts64, &cfg(), &mut ctx3));
+        assert_eq!(ctx3.metrics.queries, 1);
+        assert_eq!(ctx3.metrics.unsat, 1);
     }
 
     #[test]
@@ -645,10 +686,15 @@ mod tests {
             Expr::add(x.clone(), Expr::bv(64, 2)),
             Expr::bv(64, 44),
         )];
-        let mut m = SolverMetrics::default();
         let mut t = QueryTable::default();
-        let (r1, d1) = check_sat_logged(&q, &sorts64, &cfg(), &mut m, &mut t);
-        let (r2, d2) = check_sat_logged(&q, &sorts64, &cfg(), &mut m, &mut t);
+        let mut ctx = QueryCtx {
+            table: Some(&mut t),
+            ..QueryCtx::default()
+        };
+        let r1 = check_sat(&q, &sorts64, &cfg(), &mut ctx);
+        let d1 = ctx.digest.expect("a table is attached");
+        let r2 = check_sat(&q, &sorts64, &cfg(), &mut ctx);
+        let d2 = ctx.digest.expect("a table is attached");
         assert_eq!(r1, r2);
         assert_eq!(d1, d2, "identical queries share a digest");
         assert_eq!(d1, query_digest(&q));
@@ -656,22 +702,20 @@ mod tests {
         let stats = t.entries[&d1];
         assert_eq!(stats.count, 2);
         assert!(stats.propagations > 0, "blasted query records effort");
-        // The logged answer agrees with the metered one.
+        // The logged answer agrees with the unlogged one.
         assert_eq!(
             r1,
-            check_sat_metered(&q, &sorts64, &cfg(), &mut SolverMetrics::default())
+            check_sat(&q, &sorts64, &cfg(), &mut QueryCtx::default())
         );
         // entails digests the refutation query it actually sends.
         let goal = Expr::cmp(BvCmp::Ult, x.clone(), Expr::bv(64, 43));
         let mut t2 = QueryTable::default();
-        let (holds, de) = entails_logged(
-            &q,
-            &goal,
-            &sorts64,
-            &cfg(),
-            &mut SolverMetrics::default(),
-            &mut t2,
-        );
+        let mut ctx2 = QueryCtx {
+            table: Some(&mut t2),
+            ..QueryCtx::default()
+        };
+        let holds = entails(&q, &goal, &sorts64, &cfg(), &mut ctx2);
+        let de = ctx2.digest.expect("a table is attached");
         assert!(holds);
         let mut refutation = q.to_vec();
         refutation.push(Expr::not(goal));
@@ -692,6 +736,12 @@ mod tests {
             Expr::bv(64, 0),
         );
         let goal = Expr::eq(Expr::extract(2, 0, x), Expr::bv(3, 0));
-        assert!(entails(&[fact], &goal, &sorts64, &cfg()));
+        assert!(entails(
+            &[fact],
+            &goal,
+            &sorts64,
+            &cfg(),
+            &mut QueryCtx::default()
+        ));
     }
 }

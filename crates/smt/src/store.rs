@@ -15,27 +15,26 @@
 //!    files — they are evicted and recomputed (a **sound miss**);
 //! 2. the stored key must equal the requested key, so a hash collision
 //!    or a swapped file cannot alias a different query;
-//! 3. even a well-formed, wrong entry cannot flip a verdict the pipeline
-//!    trusts blindly: `Sat` models are re-verified by evaluation on
-//!    every cache hit (disk or memory) by
-//!    `QueryCache::hit_is_trusted`, and a failing model forces a
-//!    recompute that overwrites the bad entry.
+//! 3. a well-formed, wrong `Sat` entry cannot flip a verdict: `Sat`
+//!    models are re-verified by evaluation on every cache hit (disk or
+//!    memory) by `QueryCache::hit_is_trusted`, and a failing model
+//!    forces a recompute that overwrites the bad entry. A well-formed,
+//!    wrong `Unsat` entry *is* trusted — it carries no evidence to
+//!    re-check — so the store directory is inside the trust base.
 //!
 //! Writes are atomic (`tmp` + `rename`), so N processes can share one
 //! store directory.
 
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use islaris_bv::Bv;
-use islaris_obs::json::{obj, parse_json, Json};
+use islaris_obs::json::{obj, Json};
 use islaris_obs::store::{
-    open, query_stats_from_json, query_stats_to_json, seal, solver_metrics_from_json,
-    solver_metrics_to_json, u64_json, write_atomic,
+    query_stats_from_json, query_stats_to_json, solver_metrics_from_json, solver_metrics_to_json,
+    u64_json, Decoded, SealedDir,
 };
-use islaris_obs::{fnv1a, StoreMetrics};
+use islaris_obs::StoreMetrics;
 
 use crate::expr::{Value, Var};
 use crate::sat::SatConfig;
@@ -46,13 +45,7 @@ use crate::solver::{Model, SmtResult};
 pub const QUERY_MAGIC: &str = "islaris-store/v1 query";
 
 /// A directory of sealed query entries, one file per cache identity.
-pub struct QueryStore {
-    dir: PathBuf,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    evictions: AtomicU64,
-    write_errors: AtomicU64,
-}
+pub struct QueryStore(SealedDir);
 
 /// The rendered on-disk identity of a query (every field of the
 /// in-memory `CacheKey`, in a stable textual form).
@@ -70,74 +63,48 @@ impl QueryStore {
     ///
     /// Any I/O error creating the directory.
     pub fn open(dir: &Path) -> io::Result<QueryStore> {
-        fs::create_dir_all(dir)?;
-        Ok(QueryStore {
-            dir: dir.to_path_buf(),
-            disk_hits: AtomicU64::new(0),
-            disk_misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-        })
+        SealedDir::open(dir, QUERY_MAGIC, "query").map(QueryStore)
     }
 
     /// The on-disk file holding the entry for a rendered identity.
     #[must_use]
     pub fn path_for_render(&self, render: &str) -> PathBuf {
-        self.dir
-            .join(format!("{:016x}.query", fnv1a(render.as_bytes())))
+        self.0.path_for(render)
     }
 
     pub(crate) fn load(&self, key: &CacheKey) -> Option<CacheEntry> {
-        let render = key_render(key);
-        let path = self.path_for_render(&render);
-        let Ok(data) = fs::read_to_string(&path) else {
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        match decode_entry(&data, key) {
-            Decoded::Entry(entry) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            Decoded::OtherKey => {
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Decoded::Corrupt => {
-                let _ = fs::remove_file(&path);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.0.load(&key_render(key), |j| match key_from_json(j) {
+            None => Decoded::Corrupt,
+            Some(stored) if stored != *key => Decoded::OtherKey,
+            Some(_) => entry_from_json(j).map_or(Decoded::Corrupt, Decoded::Entry),
+        })
     }
 
     /// Seals and atomically writes `entry`. Failures are counted, not
     /// propagated: persistence must never fail a query.
     pub(crate) fn save(&self, key: &CacheKey, entry: &CacheEntry) {
-        let render = key_render(key);
-        let sealed = seal(QUERY_MAGIC, &encode_entry(key, entry));
-        if write_atomic(&self.path_for_render(&render), sealed.as_bytes()).is_err() {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        let payload = obj(vec![
+            (
+                "key",
+                obj(vec![
+                    ("check_proofs", Json::Bool(key.check_proofs)),
+                    ("max_conflicts", u64_json(key.max_conflicts)),
+                    ("sat", sat_to_json(&key.sat)),
+                    ("text", Json::Str(key.text.clone())),
+                ]),
+            ),
+            ("result", result_to_json(&entry.result)),
+            ("solver_delta", solver_metrics_to_json(&entry.solver_delta)),
+            ("query_delta", query_stats_to_json(&entry.query_delta)),
+        ]);
+        self.0.save(&key_render(key), &payload);
     }
 
     /// Disk-side traffic counters.
     #[must_use]
     pub fn metrics(&self) -> StoreMetrics {
-        StoreMetrics {
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-        }
+        self.0.metrics()
     }
-}
-
-enum Decoded {
-    Entry(CacheEntry),
-    OtherKey,
-    Corrupt,
 }
 
 fn sat_to_json(s: &SatConfig) -> Json {
@@ -213,43 +180,6 @@ fn result_from_json(j: &Json) -> Option<SmtResult> {
     }
 }
 
-fn encode_entry(key: &CacheKey, entry: &CacheEntry) -> String {
-    obj(vec![
-        (
-            "key",
-            obj(vec![
-                ("check_proofs", Json::Bool(key.check_proofs)),
-                ("max_conflicts", u64_json(key.max_conflicts)),
-                ("sat", sat_to_json(&key.sat)),
-                ("text", Json::Str(key.text.clone())),
-            ]),
-        ),
-        ("result", result_to_json(&entry.result)),
-        ("solver_delta", solver_metrics_to_json(&entry.solver_delta)),
-        ("query_delta", query_stats_to_json(&entry.query_delta)),
-    ])
-    .render()
-}
-
-fn decode_entry(data: &str, key: &CacheKey) -> Decoded {
-    let Ok(payload) = open(QUERY_MAGIC, data) else {
-        return Decoded::Corrupt;
-    };
-    let Ok(j) = parse_json(&payload) else {
-        return Decoded::Corrupt;
-    };
-    let Some(stored) = key_from_json(&j) else {
-        return Decoded::Corrupt;
-    };
-    if stored != *key {
-        return Decoded::OtherKey;
-    }
-    let Some(entry) = entry_from_json(&j) else {
-        return Decoded::Corrupt;
-    };
-    Decoded::Entry(entry)
-}
-
 fn key_from_json(j: &Json) -> Option<CacheKey> {
     let k = j.get("key")?;
     Some(CacheKey {
@@ -272,6 +202,7 @@ fn entry_from_json(j: &Json) -> Option<CacheEntry> {
 mod tests {
     use super::*;
     use islaris_obs::{QueryStats, SolverMetrics};
+    use std::fs;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("islaris-qstore-{tag}-{}", std::process::id()));
@@ -389,6 +320,41 @@ mod tests {
             "a valid foreign entry is not evicted"
         );
         assert_eq!(store.metrics().evictions, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Pins the on-disk format: existing `--store` directories stay warm
+    /// only while the file name and sealed bytes of an entry are
+    /// unchanged.
+    #[test]
+    fn sealed_bytes_and_file_name_are_pinned() {
+        let dir = tmp_dir("pin");
+        let store = QueryStore::open(&dir).unwrap();
+        let key = sample_key("(bvult v0 #x0000000000000005)");
+        let model = Model::from_pairs([(Var(0), Value::Bits(Bv::new(64, 4)))]);
+        store.save(&key, &sample_entry(SmtResult::Sat(model)));
+        let path = store.path_for_render(&key_render(&key));
+        assert_eq!(
+            path.file_name().unwrap().to_str().unwrap(),
+            "430a83f23c8ccd8d.query"
+        );
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            concat!(
+                "islaris-store/v1 query\n",
+                "sum 168d9778ca07f123\n",
+                "len 573\n",
+                r##"{"key":{"check_proofs":true,"max_conflicts":10000,"sat":{"vsids":true,"##,
+                r##""phase_saving":true,"luby_restarts":true,"db_reduction":true,"##,
+                r##""minimize":true,"fold":true},"text":"(bvult v0 #x0000000000000005)"},"##,
+                r##""result":{"kind":"sat","model":[[0,"#x0000000000000004"]]},"##,
+                r##""solver_delta":{"queries":1,"sat":0,"unsat":1,"unknown":0,"##,
+                r##""model_verifies":0,"cnf_vars":0,"cnf_clauses":17,"propagations":23,"##,
+                r##""decisions":0,"conflicts":0,"restarts":0,"reduced":0,"minimized":0,"##,
+                r##""folded":0,"trimmed":0},"query_delta":{"count":1,"cnf_clauses":17,"##,
+                r##""propagations":23,"decisions":0,"conflicts":0,"hits":0}}"##,
+            )
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,8 +8,8 @@ use islaris_bv::Bv;
 use islaris_smt::cnf::Blaster;
 use islaris_smt::sat::SatOutcome;
 use islaris_smt::{
-    check_sat, entails, eval_bool, simplify_with, BvBinop, BvCmp, BvUnop, Expr, SmtResult,
-    SolverConfig, Sort, Value, Var,
+    check_sat, entails, eval_bool, simplify_with, BvBinop, BvCmp, BvUnop, Expr, QueryCtx,
+    SmtResult, SolverConfig, Sort, Value, Var,
 };
 use islaris_testkit::{forall, prop_eq, prop_true, Rng, TestResult};
 
@@ -171,7 +171,12 @@ fn check_sat_agrees_with_witness() {
             let env = env_from(vals);
             let truth = eval_bool(e, &env).expect("well-sorted");
             if truth {
-                match check_sat(&[e.clone()], &sorts, &SolverConfig::paranoid()) {
+                match check_sat(
+                    std::slice::from_ref(e),
+                    &sorts,
+                    &SolverConfig::paranoid(),
+                    &mut QueryCtx::default(),
+                ) {
                     SmtResult::Sat(m) => {
                         let menv = |v: Var| m.get(v).or_else(|| env(v));
                         prop_eq!(eval_bool(e, &menv), Ok(true));
@@ -194,7 +199,14 @@ fn unsat_answers_have_no_witness() {
     forall("unsat_answers_have_no_witness", CASES, bool_expr, |e| {
         // Bind v2 := 0 to shrink the space, then enumerate v0, v1.
         let e0 = e.subst_var(Var(2), &Expr::bv(WIDTH, 0));
-        if check_sat(&[e0.clone()], &sorts, &SolverConfig::paranoid()).is_unsat() {
+        if check_sat(
+            std::slice::from_ref(&e0),
+            &sorts,
+            &SolverConfig::paranoid(),
+            &mut QueryCtx::default(),
+        )
+        .is_unsat()
+        {
             for a in 0u16..256 {
                 for b in 0u16..256 {
                     let vals = [a as u8, b as u8, 0u8];
@@ -248,8 +260,20 @@ fn blasting_agrees_with_eval() {
 fn entails_reflexive() {
     forall("entails_reflexive", CASES, bool_expr, |e| {
         let cfg = SolverConfig::new();
-        prop_true!(entails(&[e.clone()], e, &sorts, &cfg));
-        prop_true!(entails(&[e.clone()], &Expr::bool(true), &sorts, &cfg));
+        prop_true!(entails(
+            std::slice::from_ref(e),
+            e,
+            &sorts,
+            &cfg,
+            &mut QueryCtx::default()
+        ));
+        prop_true!(entails(
+            std::slice::from_ref(e),
+            &Expr::bool(true),
+            &sorts,
+            &cfg,
+            &mut QueryCtx::default()
+        ));
         TestResult::Pass
     });
 }

@@ -6,8 +6,8 @@
 //! failures report a seed replayable via `ISLARIS_PT_SEED`.
 
 use islaris_smt::{
-    check_sat_metered, entails_metered, eval_bool, BvBinop, BvCmp, BvUnop, CacheMetrics, Expr,
-    QueryCache, QueryTable, Session, SmtResult, SolverConfig, SolverMetrics, Sort, Var,
+    check_sat, entails, eval_bool, BvBinop, BvCmp, BvUnop, Expr, QueryCache, QueryCtx, QueryTable,
+    Session, SmtResult, SolverConfig, Sort, Var,
 };
 use islaris_testkit::{forall, Rng, TestResult};
 
@@ -152,10 +152,8 @@ fn run_script(cfg: &SolverConfig, ops: &[Op], shape: &Shape) -> Result<(), Strin
         match op {
             Op::Push(f) => facts.push(f.clone()),
             Op::Entails(goal) => {
-                let mut ms = SolverMetrics::default();
-                let mut mf = SolverMetrics::default();
-                let inc = session.entails_metered(&facts, goal, &sorts, &mut ms);
-                let scratch = entails_metered(&facts, goal, &sorts, cfg, &mut mf);
+                let inc = session.entails(&facts, goal, &sorts, &mut QueryCtx::default());
+                let scratch = entails(&facts, goal, &sorts, cfg, &mut QueryCtx::default());
                 if inc != scratch {
                     return Err(format!(
                         "entails mismatch: session={inc} scratch={scratch} facts={facts:?} goal={goal}"
@@ -165,10 +163,8 @@ fn run_script(cfg: &SolverConfig, ops: &[Op], shape: &Shape) -> Result<(), Strin
             Op::CheckSat(extra) => {
                 let mut q = facts.clone();
                 q.push(extra.clone());
-                let mut ms = SolverMetrics::default();
-                let mut mf = SolverMetrics::default();
-                let inc = session.check_sat_metered(&q, &sorts, &mut ms);
-                let scratch = check_sat_metered(&q, &sorts, cfg, &mut mf);
+                let inc = session.check_sat(&q, &sorts, &mut QueryCtx::default());
+                let scratch = check_sat(&q, &sorts, cfg, &mut QueryCtx::default());
                 same_verdict(&inc, &scratch).map_err(|e| format!("{e} on {q:?}"))?;
                 if let SmtResult::Sat(model) = &inc {
                     let env = |v: Var| sorts(v).map(|s| model.get_or_default(v, s));
@@ -245,21 +241,25 @@ fn query_cache_matches_scratch_on_random_sequences() {
             let sorts = shape.sorts();
             let cfg = SolverConfig::new();
             let cache = QueryCache::new();
-            let mut cm = CacheMetrics::default();
+            let mut hits = 0;
             // Two passes: the second is all hits and must still agree.
             for _ in 0..2 {
                 for q in qs {
-                    let mut m = SolverMetrics::default();
                     let mut t = QueryTable::default();
-                    let (cached, _) =
-                        cache.check_sat_logged(q, &sorts, &cfg, &mut m, &mut t, &mut cm);
-                    let scratch = check_sat_metered(q, &sorts, &cfg, &mut SolverMetrics::default());
+                    let mut ctx = QueryCtx {
+                        table: Some(&mut t),
+                        cache: Some(&cache),
+                        ..QueryCtx::default()
+                    };
+                    let cached = check_sat(q, &sorts, &cfg, &mut ctx);
+                    hits += ctx.cache_metrics.hits;
+                    let scratch = check_sat(q, &sorts, &cfg, &mut QueryCtx::default());
                     if let Err(e) = same_verdict(&cached, &scratch) {
                         return TestResult::Fail(format!("{e} on {q:?}"));
                     }
                 }
             }
-            if cm.hits == 0 {
+            if hits == 0 {
                 return TestResult::Fail("second pass produced no cache hits".into());
             }
             TestResult::Pass

@@ -21,7 +21,8 @@ fn main() {
             .map(|t| t.event_count())
             .sum::<usize>()
     );
-    let (outcome, _) = islaris_cases::run_case(&art);
+    let (outcome, _) =
+        islaris_cases::run_case(&art, &islaris_cases::RunOpts::default()).expect("no deadline set");
     println!(
         "verified: reaching the hang implies x0 = 42 at EL1 \
          ({:?} automation, {} obligations)",

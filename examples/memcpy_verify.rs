@@ -15,7 +15,8 @@ fn main() {
     // 1. Build and verify: program, traces, specs, loop invariant.
     let art = memcpy_arm::build_case();
     println!("memcpy (Arm): {} instructions", art.program.len());
-    let (outcome, _report) = islaris_cases::run_case(&art);
+    let (outcome, _report) =
+        islaris_cases::run_case(&art, &islaris_cases::RunOpts::default()).expect("no deadline set");
     println!(
         "verified in {:?} ({} SMT queries, {} obligations, certificates \
          re-checked in {:?})",

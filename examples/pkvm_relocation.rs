@@ -31,7 +31,8 @@ fn main() {
         "\nparametric trace of the patched movz (imm16 = v90, free):\n{}\n",
         print_trace(&art.prog_spec.instrs[&reset]).replace(") (", ")\n (")
     );
-    let (outcome, _) = islaris_cases::run_case(&art);
+    let (outcome, _) =
+        islaris_cases::run_case(&art, &islaris_cases::RunOpts::default()).expect("no deadline set");
     println!(
         "verified for ALL 2^64 relocation offsets in {:?} ({} obligations)",
         outcome.verify_time, outcome.obligations

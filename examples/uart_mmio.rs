@@ -12,7 +12,8 @@ use islaris_itl::{Label, Reg, ScriptedIo, Stop};
 
 fn main() {
     let art = uart::build_case();
-    let (outcome, _) = islaris_cases::run_case(&art);
+    let (outcome, _) =
+        islaris_cases::run_case(&art, &islaris_cases::RunOpts::default()).expect("no deadline set");
     println!(
         "uart1_putc verified against srec(R. ∃b. scons(R(LSR,b), b[5] ? \
          scons(W(IO,c), s) : R)) in {:?}",

@@ -9,7 +9,7 @@
 //! (or which certificate) is produced.
 
 use islaris::logic::{render_certificate, Report};
-use islaris_cases::{run_case, CaseCtx, ALL_CASES};
+use islaris_cases::{run_case, CaseCtx, RunOpts, ALL_CASES};
 use islaris_smt::SatConfig;
 
 /// Renders every block certificate of a report (the golden-test format,
@@ -31,7 +31,7 @@ fn snapshot(sat: SatConfig) -> Vec<(&'static str, String, String)> {
         .iter()
         .map(|def| {
             let art = (def.build)(&CaseCtx::default().with_sat(sat));
-            let (outcome, report) = run_case(&art);
+            let (outcome, report) = run_case(&art, &RunOpts::default()).expect("no deadline set");
             (def.slug, outcome.stable_row(), render_certs(&report))
         })
         .collect()

@@ -4,7 +4,10 @@
 //! certificates are byte-identical to the sequential uncached run — and a
 //! poisoned case must fail alone without wedging the queue.
 
-use islaris_cases::{hvc, memcpy_arm, run_cases, CaseArtifacts, CaseCtx, CaseDef, ALL_CASES};
+use islaris_cases::{
+    hvc, memcpy_arm, run_case, run_cases, CaseArtifacts, CaseCtx, CaseDef, PipelineOpts, RunOpts,
+    ALL_CASES,
+};
 use islaris_isla::TraceCache;
 
 /// A fast subset of the registry (the slow binsearch/memcpy-RV rows are
@@ -22,11 +25,16 @@ fn fast_cases() -> Vec<CaseDef> {
 #[test]
 fn parallel_stable_rows_match_sequential() {
     let cases = fast_cases();
-    let baseline = run_cases(&cases, 1, None);
+    let baseline = run_cases(&cases, &PipelineOpts::default());
     assert!(baseline.all_ok());
     let cache = TraceCache::new();
-    let cold = run_cases(&cases, 4, Some(&cache));
-    let warm = run_cases(&cases, 4, Some(&cache));
+    let cached = PipelineOpts {
+        jobs: 4,
+        cache: Some(&cache),
+        ..PipelineOpts::default()
+    };
+    let cold = run_cases(&cases, &cached);
+    let warm = run_cases(&cases, &cached);
     assert_eq!(
         baseline.stable_rows(),
         cold.stable_rows(),
@@ -86,8 +94,8 @@ fn instruction_fanout_is_deterministic() {
         ..CaseCtx::default()
     });
     assert_eq!(seq.prog_spec.instrs, par.prog_spec.instrs);
-    let (_, seq_report) = islaris_cases::run_case(&seq);
-    let (_, par_report) = islaris_cases::run_case(&par);
+    let (_, seq_report) = run_case(&seq, &RunOpts::default()).expect("no deadline set");
+    let (_, par_report) = run_case(&par, &RunOpts::default()).expect("no deadline set");
     let certs = |r: &islaris::logic::Report| {
         r.blocks
             .iter()
@@ -101,24 +109,36 @@ fn instruction_fanout_is_deterministic() {
     );
 }
 
-/// Intra-case block parallelism (`run_case_jobs`) is invisible in every
-/// observable output: stable rows, rendered profiles, and certificates
-/// are byte-identical across jobs {1, 4, 8} and across query-cache
-/// states (none / cold / warm). This is the determinism contract the
+/// Intra-case block parallelism (`RunOpts::jobs`) is invisible in every
+/// observable output: stable rows, rendered profiles, certificates and
+/// rendered proof traces are byte-identical across jobs {1, 4, 8} and
+/// across query-cache states (none / cold / warm), traced or not, and
+/// tracing changes no counter. This is the determinism contract the
 /// daemon relies on to scale a single request without changing bodies.
 #[test]
 fn intra_case_jobs_are_deterministic() {
-    use islaris_cases::run_case_jobs;
+    use islaris_obs::render_proof_trace;
     use islaris_smt::QueryCache;
     use std::sync::Arc;
 
     let art = hvc::build_case();
-    let fingerprint = |qcache: Option<&Arc<QueryCache>>, jobs: usize| {
-        let (outcome, report) = run_case_jobs(&art, qcache, jobs, None).expect("no deadline set");
+    let fingerprint = |trace: bool, qcache: Option<&Arc<QueryCache>>, jobs: usize| {
+        let opts = RunOpts {
+            trace,
+            qcache: qcache.cloned(),
+            jobs,
+            deadline: None,
+        };
+        let (outcome, report) = run_case(&art, &opts).expect("no deadline set");
         let certs: Vec<String> = report
             .blocks
             .iter()
             .map(|b| format!("{:?}", b.cert))
+            .collect();
+        let traces: Vec<String> = report
+            .blocks
+            .iter()
+            .map(|b| render_proof_trace(&b.ptrace))
             .collect();
         // Everything except the cache hit/miss rows must be byte-identical;
         // those two rows are the only profile lines allowed to vary with
@@ -130,24 +150,44 @@ fn intra_case_jobs_are_deterministic() {
             .filter(|l| !l.starts_with("  cache") && !l.starts_with("  q.cache"))
             .map(|l| format!("{l}\n"))
             .collect();
-        (outcome.stable_row(), profile, certs)
+        ((outcome.stable_row(), profile, certs), traces)
     };
 
-    let baseline = fingerprint(None, 1);
-    for jobs in [4, 8] {
+    let (baseline, untraced) = fingerprint(false, None, 1);
+    assert!(untraced.iter().all(String::is_empty), "untraced run traced");
+    for trace in [false, true] {
+        let expected = fingerprint(trace, None, 1);
+        assert_eq!(baseline, expected.0, "trace={trace} changed a counter");
         assert_eq!(
-            baseline,
-            fingerprint(None, jobs),
-            "uncached run diverged at jobs={jobs}"
+            trace,
+            expected.1.iter().any(|t| !t.is_empty()),
+            "trace={trace} must match whether proof traces are collected"
         );
-    }
-    let qcache = Arc::new(QueryCache::new());
-    for (state, jobs) in [("cold", 4), ("warm", 8), ("warm", 1)] {
-        assert_eq!(
-            baseline,
-            fingerprint(Some(&qcache), jobs),
-            "{state} cached run diverged at jobs={jobs}"
-        );
+        for jobs in [1, 4, 8] {
+            assert_eq!(
+                expected,
+                fingerprint(trace, None, jobs),
+                "uncached run diverged at trace={trace} jobs={jobs}"
+            );
+            let qcache = Arc::new(QueryCache::new());
+            for state in ["cold", "warm"] {
+                assert_eq!(
+                    expected,
+                    fingerprint(trace, Some(&qcache), jobs),
+                    "{state} cached run diverged at trace={trace} jobs={jobs}"
+                );
+            }
+        }
+        // One cache shared across widths, as when a `--store` written by a
+        // `--workers 4` daemon is reopened with `--workers 1`.
+        let qcache = Arc::new(QueryCache::new());
+        for (state, jobs) in [("cold", 4), ("warm", 8), ("warm", 1)] {
+            assert_eq!(
+                expected,
+                fingerprint(trace, Some(&qcache), jobs),
+                "shared {state} cached run diverged at trace={trace} jobs={jobs}"
+            );
+        }
     }
 }
 
@@ -168,7 +208,11 @@ fn poisoned_case_fails_alone() {
             build: poisoned,
         },
     );
-    let report = run_cases(&cases, 3, None);
+    let opts = PipelineOpts {
+        jobs: 3,
+        ..PipelineOpts::default()
+    };
+    let report = run_cases(&cases, &opts);
     assert!(!report.all_ok());
     for (i, row) in report.rows.iter().enumerate() {
         if i == 1 {

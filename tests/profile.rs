@@ -10,15 +10,31 @@
 
 use std::sync::Arc;
 
-use islaris_cases::{run_cases_solver_cached, run_cases_with, ALL_CASES};
+use islaris_cases::{run_cases, PipelineOpts, PipelineReport, ALL_CASES};
 use islaris_isla::TraceCache;
 use islaris_obs::render_profiles;
 use islaris_smt::QueryCache;
 
+/// One pipeline run over the first three Fig. 12 cases (two ISAs plus a
+/// branching case) through `cache`, with an optional solver cache.
+fn run_first_three(
+    jobs: usize,
+    cache: &TraceCache,
+    qcache: Option<&Arc<QueryCache>>,
+) -> PipelineReport {
+    let opts = PipelineOpts {
+        jobs,
+        cache: Some(cache),
+        qcache: qcache.cloned(),
+        ..PipelineOpts::default()
+    };
+    run_cases(&ALL_CASES[..3], &opts)
+}
+
 /// Renders the full per-stage counter profile of one pipeline run over
-/// the first three Fig. 12 cases (two ISAs plus a branching case).
+/// the first three Fig. 12 cases.
 fn profile_text(jobs: usize, cache: &TraceCache) -> String {
-    let report = run_cases_with(&ALL_CASES[..3], jobs, Some(cache), None);
+    let report = run_first_three(jobs, cache, None);
     assert!(report.all_ok(), "profiled cases must verify");
     render_profiles(&report.profiles())
 }
@@ -73,8 +89,7 @@ fn counter_profile_is_identical_across_jobs_and_cache_state() {
 /// Renders the profile of a run with the solver query-result cache
 /// either disabled (`None`) or backed by the given shared cache.
 fn solver_cached_profile(jobs: usize, qcache: Option<&Arc<QueryCache>>) -> String {
-    let cache = TraceCache::new();
-    let report = run_cases_solver_cached(&ALL_CASES[..3], jobs, Some(&cache), None, qcache);
+    let report = run_first_three(jobs, &TraceCache::new(), qcache);
     assert!(report.all_ok(), "profiled cases must verify");
     render_profiles(&report.profiles())
 }
@@ -120,7 +135,7 @@ fn counter_profile_is_identical_across_solver_cache_states() {
 /// counter actually registers work somewhere in the first three cases.
 #[test]
 fn profile_reports_cdcl_counters() {
-    let report = run_cases_with(&ALL_CASES[..3], 1, Some(&TraceCache::new()), None);
+    let report = run_first_three(1, &TraceCache::new(), None);
     assert!(report.all_ok(), "profiled cases must verify");
     let text = render_profiles(&report.profiles());
     for key in ["restarts=", "reduced=", "minimized=", "folded=", "trimmed="] {
@@ -146,7 +161,7 @@ fn profile_reports_cdcl_counters() {
 /// fails here rather than in downstream diffing.
 #[test]
 fn profile_reports_every_stage_for_every_case() {
-    let report = run_cases_with(&ALL_CASES[..3], 1, Some(&TraceCache::new()), None);
+    let report = run_first_three(1, &TraceCache::new(), None);
     let profiles = report.profiles();
     assert_eq!(profiles.len(), 3, "one profile per case");
     let text = render_profiles(&profiles);

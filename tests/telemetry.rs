@@ -5,13 +5,40 @@
 
 use std::sync::Arc;
 
+use islaris::logic::Report;
 use islaris_cases::{
-    find_case, run_case, run_case_traced, run_cases, run_cases_solver_cached, CaseCtx, CaseDef,
-    ALL_CASES,
+    find_case, run_case, run_cases, CaseArtifacts, CaseCtx, CaseDef, PipelineOpts, PipelineReport,
+    RunOpts, ALL_CASES,
 };
 use islaris_isla::TraceCache;
 use islaris_obs::{render_proof_trace, ProofStep};
 use islaris_smt::QueryCache;
+
+/// Verifies `art` with proof-search tracing on.
+fn run_traced(art: &CaseArtifacts) -> Report {
+    let opts = RunOpts {
+        trace: true,
+        ..RunOpts::default()
+    };
+    run_case(art, &opts).expect("no deadline set").1
+}
+
+/// Runs `cases` on `jobs` workers through the optional trace and solver
+/// caches.
+fn run(
+    cases: &[CaseDef],
+    jobs: usize,
+    cache: Option<&TraceCache>,
+    qcache: Option<&Arc<QueryCache>>,
+) -> PipelineReport {
+    let opts = PipelineOpts {
+        jobs,
+        cache,
+        qcache: qcache.cloned(),
+        ..PipelineOpts::default()
+    };
+    run_cases(cases, &opts)
+}
 
 /// A fast subset of the registry (the slow binsearch/memcpy-RV rows are
 /// exercised by the fig12 binary, not on every test run).
@@ -43,7 +70,7 @@ fn proof_trace_deterministic_across_jobs_and_cache() {
     let def = find_case("hvc").unwrap();
     let render = |ctx: &CaseCtx| {
         let art = (def.build)(ctx);
-        let (_, report) = run_case_traced(&art);
+        let report = run_traced(&art);
         report
             .blocks
             .iter()
@@ -73,7 +100,7 @@ fn proof_trace_deterministic_across_jobs_and_cache() {
 fn proof_trace_grammar_is_balanced() {
     let def = find_case("unaligned").unwrap();
     let art = (def.build)(&CaseCtx::default());
-    let (_, report) = run_case_traced(&art);
+    let report = run_traced(&art);
     let mut opens = 0u64;
     let mut closes = 0u64;
     let mut digests = 0u64;
@@ -98,8 +125,12 @@ fn proof_trace_grammar_is_balanced() {
 fn tracing_does_not_perturb_measurements() {
     let def = find_case("rbit").unwrap();
     let art = (def.build)(&CaseCtx::default());
-    let (plain, plain_report) = run_case(&art);
-    let (traced, traced_report) = run_case_traced(&art);
+    let (plain, plain_report) = run_case(&art, &RunOpts::default()).expect("no deadline set");
+    let traced_opts = RunOpts {
+        trace: true,
+        ..RunOpts::default()
+    };
+    let (traced, traced_report) = run_case(&art, &traced_opts).expect("no deadline set");
     assert!(plain_report.blocks.iter().all(|b| b.ptrace.is_empty()));
     assert!(traced_report.blocks.iter().any(|b| !b.ptrace.is_empty()));
     assert_eq!(plain.stable_row(), traced.stable_row());
@@ -127,15 +158,14 @@ fn without_hit_counts(rendered: &str) -> String {
 #[test]
 fn hot_query_tables_deterministic_across_solver_cache_states() {
     let cases = fast_cases();
-    let off = run_cases_solver_cached(&cases, 1, None, None, None);
+    let off = run(&cases, 1, None, None);
     assert!(off.all_ok());
     let baseline = without_hit_counts(&off.render_hot_queries(5));
 
     let shared = Arc::new(QueryCache::new());
-    let on_cold = run_cases_solver_cached(&cases, 1, None, None, Some(&shared));
-    let on_warm = run_cases_solver_cached(&cases, 1, None, None, Some(&shared));
-    let on_parallel =
-        run_cases_solver_cached(&cases, 4, None, None, Some(&Arc::new(QueryCache::new())));
+    let on_cold = run(&cases, 1, None, Some(&shared));
+    let on_warm = run(&cases, 1, None, Some(&shared));
+    let on_parallel = run(&cases, 4, None, Some(&Arc::new(QueryCache::new())));
     for (label, run) in [
         ("cold cache", &on_cold),
         ("warm cache", &on_warm),
@@ -158,7 +188,7 @@ fn hot_query_tables_deterministic_across_solver_cache_states() {
 #[test]
 fn hot_query_tables_deterministic_across_jobs_and_cache() {
     let cases = fast_cases();
-    let baseline = run_cases(&cases, 1, None);
+    let baseline = run(&cases, 1, None, None);
     assert!(baseline.all_ok());
     let rendered = baseline.render_hot_queries(5);
     assert!(
@@ -167,8 +197,8 @@ fn hot_query_tables_deterministic_across_jobs_and_cache() {
     );
     assert!(!baseline.query_totals().is_empty(), "no queries attributed");
     let cache = TraceCache::new();
-    let cold = run_cases(&cases, 4, Some(&cache));
-    let warm = run_cases(&cases, 4, Some(&cache));
+    let cold = run(&cases, 4, Some(&cache), None);
+    let warm = run(&cases, 4, Some(&cache), None);
     assert_eq!(
         rendered,
         cold.render_hot_queries(5),
