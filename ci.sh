@@ -121,6 +121,9 @@ cargo run --release -q --offline -p islaris-bench --bin fig12 -- \
 cargo run --release -q --offline -p islaris-bench --bin fig12 -- \
     --bench-compare BENCH_pr7.json BENCH_pr10.json \
     --threshold 1000000 || echo "note: committed baselines drift beyond huge threshold"
+cargo run --release -q --offline -p islaris-bench --bin fig12 -- \
+    --bench-compare BENCH_pr10.json BENCH_pr16.json \
+    --threshold 1000000 || echo "note: committed baselines drift beyond huge threshold"
 
 echo "== fig12 --serve smoke (daemon on an ephemeral port: cold-then-warm"
 echo "   1000-request replay over one persistent store, bodies must be"

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use crate::expr::{BvBinop, BvCmp, BvUnop, Expr, ExprKind, Sort, Value, Var};
-use crate::sat::{Lit, SatConfig, SatSolver};
+use crate::sat::{ClauseArena, Lit, SatConfig, SatSolver};
 
 /// Encoded form of an expression.
 #[derive(Debug, Clone)]
@@ -150,7 +150,7 @@ impl Blaster {
 
     /// The CNF clauses produced by the encoding, for RUP proof checking.
     #[must_use]
-    pub fn sat_original_clauses(&self) -> &[Vec<Lit>] {
+    pub fn sat_original_clauses(&self) -> &ClauseArena {
         self.sat.original_clauses()
     }
 
@@ -217,7 +217,7 @@ impl Blaster {
         }
         let v = self.sat.new_var();
         let l = Lit::pos(v);
-        self.sat.add_clause(vec![l]);
+        self.sat.add_clause(&[l]);
         self.true_lit = Some(l);
         l
     }
@@ -247,30 +247,29 @@ impl Blaster {
     /// Emits the three Tseitin clauses for y ↔ a ∧ b.
     fn emit_and(&mut self, a: Lit, b: Lit) -> Lit {
         let y = self.fresh();
-        self.sat.add_clause(vec![y.negate(), a]);
-        self.sat.add_clause(vec![y.negate(), b]);
-        self.sat.add_clause(vec![y, a.negate(), b.negate()]);
+        self.sat.add_clause(&[y.negate(), a]);
+        self.sat.add_clause(&[y.negate(), b]);
+        self.sat.add_clause(&[y, a.negate(), b.negate()]);
         y
     }
 
     /// Emits the four Tseitin clauses for y ↔ a ⊕ b.
     fn emit_xor(&mut self, a: Lit, b: Lit) -> Lit {
         let y = self.fresh();
-        self.sat.add_clause(vec![y.negate(), a, b]);
-        self.sat
-            .add_clause(vec![y.negate(), a.negate(), b.negate()]);
-        self.sat.add_clause(vec![y, a, b.negate()]);
-        self.sat.add_clause(vec![y, a.negate(), b]);
+        self.sat.add_clause(&[y.negate(), a, b]);
+        self.sat.add_clause(&[y.negate(), a.negate(), b.negate()]);
+        self.sat.add_clause(&[y, a, b.negate()]);
+        self.sat.add_clause(&[y, a.negate(), b]);
         y
     }
 
     /// Emits the four Tseitin clauses for y ↔ (s ? t : e).
     fn emit_mux(&mut self, s: Lit, t: Lit, e: Lit) -> Lit {
         let y = self.fresh();
-        self.sat.add_clause(vec![s.negate(), y.negate(), t]);
-        self.sat.add_clause(vec![s.negate(), y, t.negate()]);
-        self.sat.add_clause(vec![s, y.negate(), e]);
-        self.sat.add_clause(vec![s, y, e.negate()]);
+        self.sat.add_clause(&[s.negate(), y.negate(), t]);
+        self.sat.add_clause(&[s.negate(), y, t.negate()]);
+        self.sat.add_clause(&[s, y.negate(), e]);
+        self.sat.add_clause(&[s, y, e.negate()]);
         y
     }
 
@@ -752,7 +751,7 @@ impl Blaster {
         sorts: &dyn Fn(Var) -> Option<Sort>,
     ) -> Result<(), BlastError> {
         let l = self.encode_bool(e, sorts)?;
-        self.sat.add_clause(vec![l]);
+        self.sat.add_clause(&[l]);
         Ok(())
     }
 

@@ -896,13 +896,9 @@ mod tests {
             h.finish()
         };
         assert_eq!(digest(&a), digest(&b));
-        // The second build answered every constructor from the arena.
-        let before = interner_stats();
-        let c = build();
-        let after = interner_stats();
-        assert_eq!(after.0, before.0, "no new allocations for a rebuild");
-        assert!(after.1 >= before.1 + 4, "rebuild hits the arena per node");
-        assert_eq!(a, c);
+        // The interner's allocation/hit counters are process-global, so
+        // the counter half of this test lives in `tests/interner.rs`, a
+        // binary of its own where no sibling test thread interns terms.
         // Distinct terms stay distinct.
         assert_ne!(Expr::bv(64, 0x40), Expr::bv(64, 0x41));
         assert_ne!(Expr::bv(32, 1), Expr::bv(64, 1));

@@ -13,7 +13,6 @@
 //! so [`implies`] never claims an implication that does not hold; it may
 //! fail to prove integer-only facts (none arise in our proofs).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// An integer variable of the LIA theory.
@@ -27,9 +26,12 @@ impl fmt::Display for IVar {
 }
 
 /// A linear term: `Σ coeff·var + constant` with `i128` coefficients.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// The coefficients are kept sorted by variable with no zero entries, so
+/// the derived equality is structural equality of the canonical form.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct LinTerm {
-    coeffs: BTreeMap<IVar, i128>,
+    coeffs: Vec<(IVar, i128)>,
     konst: i128,
 }
 
@@ -38,7 +40,7 @@ impl LinTerm {
     #[must_use]
     pub fn constant(k: i128) -> Self {
         LinTerm {
-            coeffs: BTreeMap::new(),
+            coeffs: Vec::new(),
             konst: k,
         }
     }
@@ -46,30 +48,58 @@ impl LinTerm {
     /// The variable `v` with coefficient 1.
     #[must_use]
     pub fn var(v: IVar) -> Self {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(v, 1);
-        LinTerm { coeffs, konst: 0 }
+        LinTerm {
+            coeffs: vec![(v, 1)],
+            konst: 0,
+        }
+    }
+
+    /// `a·self + b·other`: one merge of the two sorted coefficient lists,
+    /// dropping the entries that cancel.
+    fn comb(&self, a: i128, other: &LinTerm, b: i128) -> LinTerm {
+        let mut coeffs = Vec::with_capacity(self.coeffs.len() + other.coeffs.len());
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let (v, c) = match (self.coeffs.get(i), other.coeffs.get(j)) {
+                (Some(&(lv, lc)), Some(&(rv, rc))) if lv == rv => {
+                    i += 1;
+                    j += 1;
+                    (lv, lc * a + rc * b)
+                }
+                (Some(&(lv, lc)), Some(&(rv, _))) if lv < rv => {
+                    i += 1;
+                    (lv, lc * a)
+                }
+                (Some(&(lv, lc)), None) => {
+                    i += 1;
+                    (lv, lc * a)
+                }
+                (_, Some(&(rv, rc))) => {
+                    j += 1;
+                    (rv, rc * b)
+                }
+                (None, None) => break,
+            };
+            if c != 0 {
+                coeffs.push((v, c));
+            }
+        }
+        LinTerm {
+            coeffs,
+            konst: self.konst * a + other.konst * b,
+        }
     }
 
     /// `self + other`.
     #[must_use]
     pub fn add(&self, other: &LinTerm) -> LinTerm {
-        let mut out = self.clone();
-        for (v, c) in &other.coeffs {
-            let e = out.coeffs.entry(*v).or_insert(0);
-            *e += c;
-            if *e == 0 {
-                out.coeffs.remove(v);
-            }
-        }
-        out.konst += other.konst;
-        out
+        self.comb(1, other, 1)
     }
 
     /// `self - other`.
     #[must_use]
     pub fn sub(&self, other: &LinTerm) -> LinTerm {
-        self.add(&other.scale(-1))
+        self.comb(1, other, -1)
     }
 
     /// `k · self`.
@@ -79,7 +109,7 @@ impl LinTerm {
             return LinTerm::constant(0);
         }
         LinTerm {
-            coeffs: self.coeffs.iter().map(|(v, c)| (*v, c * k)).collect(),
+            coeffs: self.coeffs.iter().map(|&(v, c)| (v, c * k)).collect(),
             konst: self.konst * k,
         }
     }
@@ -99,11 +129,11 @@ impl LinTerm {
         if k == 0 {
             return None;
         }
-        if self.konst % k != 0 || self.coeffs.values().any(|c| c % k != 0) {
+        if self.konst % k != 0 || self.coeffs.iter().any(|(_, c)| c % k != 0) {
             return None;
         }
         Some(LinTerm {
-            coeffs: self.coeffs.iter().map(|(v, c)| (*v, c / k)).collect(),
+            coeffs: self.coeffs.iter().map(|&(v, c)| (v, c / k)).collect(),
             konst: self.konst / k,
         })
     }
@@ -125,7 +155,7 @@ impl LinTerm {
     /// Zero coefficients are never stored, so the iteration is a canonical
     /// rendering of the term (used by certificate serialisation).
     pub fn terms(&self) -> impl Iterator<Item = (IVar, i128)> + '_ {
-        self.coeffs.iter().map(|(v, c)| (*v, *c))
+        self.coeffs.iter().copied()
     }
 
     /// The constant part `k` of `Σ coeff·var + k`.
@@ -135,22 +165,56 @@ impl LinTerm {
     }
 
     fn coeff(&self, v: IVar) -> i128 {
-        self.coeffs.get(&v).copied().unwrap_or(0)
+        self.coeffs
+            .binary_search_by_key(&v, |&(w, _)| w)
+            .map_or(0, |i| self.coeffs[i].1)
     }
 
     fn vars(&self) -> impl Iterator<Item = IVar> + '_ {
-        self.coeffs.keys().copied()
+        self.coeffs.iter().map(|&(v, _)| v)
+    }
+
+    /// `self == other.scale(-1)`, without building the negation.
+    fn is_neg_of(&self, other: &LinTerm) -> bool {
+        self.konst == -other.konst
+            && self.coeffs.len() == other.coeffs.len()
+            && self
+                .coeffs
+                .iter()
+                .zip(&other.coeffs)
+                .all(|(&(v, c), &(w, d))| v == w && c == -d)
+    }
+}
+
+/// Prints exactly what the derived `Debug` of the former
+/// `BTreeMap<IVar, i128>` representation printed
+/// (`LinTerm { coeffs: {IVar(0): 1}, konst: 3 }`): certificate order
+/// digests hash the `{:?}` rendering of every obligation.
+impl fmt::Debug for LinTerm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Coeffs<'a>(&'a [(IVar, i128)]);
+        impl fmt::Debug for Coeffs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(v, c)| (v, c)))
+                    .finish()
+            }
+        }
+        f.debug_struct("LinTerm")
+            .field("coeffs", &Coeffs(&self.coeffs))
+            .field("konst", &self.konst)
+            .finish()
     }
 }
 
 impl fmt::Display for LinTerm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (v, c) in &self.coeffs {
+        for &(v, c) in &self.coeffs {
             if first {
                 write!(f, "{c}·{v}")?;
                 first = false;
-            } else if *c >= 0 {
+            } else if c >= 0 {
                 write!(f, " + {c}·{v}")?;
             } else {
                 write!(f, " - {}·{v}", -c)?;
@@ -216,37 +280,34 @@ const FM_LIMIT: usize = 20_000;
 /// Gaussian pre-reduction: an equality pair `t ≥ 0 ∧ −t ≥ 0` whose `t`
 /// has a ±1-coefficient variable lets us substitute that variable away,
 /// keeping the Fourier–Motzkin constraint growth in check.
-fn gauss_reduce(constraints: &mut Vec<Geq0>) {
+fn gauss_reduce(constraints: &mut [Geq0]) {
     loop {
-        let mut subst: Option<(IVar, LinTerm)> = None;
+        // (v, t, c): the zero row t has coefficient c = ±1 on v.
+        let mut subst: Option<(IVar, LinTerm, i128)> = None;
         'outer: for i in 0..constraints.len() {
-            let neg = constraints[i].scale(-1);
             for j in 0..constraints.len() {
-                if i != j && constraints[j] == neg {
+                if i != j && constraints[j].is_neg_of(&constraints[i]) {
                     // constraints[i] = 0. Find a ±1 variable.
                     let t = &constraints[i];
                     for v in t.vars() {
                         let c = t.coeff(v);
                         if c == 1 || c == -1 {
-                            // c·v + rest = 0  ⟹  v = −rest/c.
-                            let mut rest = t.clone();
-                            rest = rest.add(&LinTerm::var(v).scale(-c));
-                            let replacement = rest.scale(-c); // −rest/c for c=±1
-                            subst = Some((v, replacement));
+                            subst = Some((v, t.clone(), c));
                             break 'outer;
                         }
                     }
                 }
             }
         }
-        let Some((v, replacement)) = subst else {
+        let Some((v, t, c)) = subst else {
             return;
         };
-        for c in constraints.iter_mut() {
-            let k = c.coeff(v);
+        // c·v + rest = 0 ⟹ v = −c·rest, so a row k·v + r becomes
+        // r − k·c·rest = row − k·c·t (c² = 1 cancels v exactly).
+        for row in constraints.iter_mut() {
+            let k = row.coeff(v);
             if k != 0 {
-                let without = c.add(&LinTerm::var(v).scale(-k));
-                *c = without.add(&replacement.scale(k));
+                *row = row.comb(1, &t, -k * c);
             }
         }
     }
@@ -257,7 +318,7 @@ fn infeasible(mut constraints: Vec<Geq0>) -> bool {
     gauss_reduce(&mut constraints);
     loop {
         // Constant constraints: contradiction or drop.
-        let mut vars: BTreeMap<IVar, ()> = BTreeMap::new();
+        let mut vars: Vec<IVar> = Vec::new();
         let mut next = Vec::with_capacity(constraints.len());
         for c in constraints {
             if let Some(k) = c.as_constant() {
@@ -265,21 +326,21 @@ fn infeasible(mut constraints: Vec<Geq0>) -> bool {
                     return true;
                 }
             } else {
-                for v in c.vars() {
-                    vars.insert(v, ());
-                }
+                vars.extend(c.vars());
                 next.push(c);
             }
         }
         constraints = next;
+        vars.sort_unstable();
+        vars.dedup();
         if vars.is_empty() {
             return false; // no variables left, no contradiction
         }
         // Pick the variable with the smallest lower×upper product
         // (least constraint growth).
-        let mut v = *vars.iter().next().expect("nonempty").0;
+        let mut v = vars[0];
         let mut best = usize::MAX;
-        for (&cand, ()) in &vars {
+        for &cand in &vars {
             let lo = constraints.iter().filter(|c| c.coeff(cand) > 0).count();
             let hi = constraints.iter().filter(|c| c.coeff(cand) < 0).count();
             let cost = lo * hi;
@@ -308,8 +369,7 @@ fn infeasible(mut constraints: Vec<Geq0>) -> bool {
                 let cl = lo.coeff(v); // > 0
                 let cu = -up.coeff(v); // > 0
                                        // cu·lo + cl·up has coefficient cu·cl - cl·cu = 0 on v.
-                let combined = lo.scale(cu).add(&up.scale(cl));
-                rest.push(combined);
+                rest.push(lo.comb(cu, up, cl));
             }
         }
         constraints = rest;

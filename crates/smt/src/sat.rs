@@ -236,6 +236,97 @@ impl RupProof {
     }
 }
 
+/// A flat clause database: the literals of every clause back to back in
+/// one vector, delimited by end offsets, so storing a clause never
+/// allocates on its own. Clause `i` is `lits[ends[i - 1]..ends[i]]`.
+/// It holds a solver's input clauses and is what [`check_rup_proof`] and
+/// [`trim_proof`] check a refutation against.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ClauseArena {
+    lits: Vec<Lit>,
+    ends: Vec<usize>,
+}
+
+impl ClauseArena {
+    /// Number of clauses.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True iff the database holds no clause.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Clause `i`, if in range.
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<&[Lit]> {
+        let end = *self.ends.get(i)?;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        Some(&self.lits[start..end])
+    }
+
+    /// The clauses in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let c = &self.lits[start..end];
+            start = end;
+            c
+        })
+    }
+
+    /// Appends `clause` sorted and deduplicated — unless it is a
+    /// tautology, in which case nothing is appended and `false` is
+    /// returned.
+    fn push_normalized(&mut self, clause: &[Lit]) -> bool {
+        let start = self.lits.len();
+        self.lits.extend_from_slice(clause);
+        let tail = &mut self.lits[start..];
+        tail.sort_unstable();
+        let mut kept = 0;
+        for r in 0..tail.len() {
+            if kept == 0 || tail[r] != tail[kept - 1] {
+                tail[kept] = tail[r];
+                kept += 1;
+            }
+        }
+        self.lits.truncate(start + kept);
+        // Tautology check: adjacent complementary literals after sort.
+        if self.lits[start..]
+            .windows(2)
+            .any(|w| w[0].var() == w[1].var())
+        {
+            self.lits.truncate(start);
+            return false;
+        }
+        self.ends.push(self.lits.len());
+        true
+    }
+}
+
+impl std::ops::Index<usize> for ClauseArena {
+    type Output = [Lit];
+
+    fn index(&self, i: usize) -> &[Lit] {
+        self.get(i).expect("clause index in range")
+    }
+}
+
+/// Collects clauses verbatim (unsorted, duplicates kept).
+impl<C: AsRef<[Lit]>> FromIterator<C> for ClauseArena {
+    fn from_iter<I: IntoIterator<Item = C>>(clauses: I) -> Self {
+        let mut arena = ClauseArena::default();
+        for c in clauses {
+            arena.lits.extend_from_slice(c.as_ref());
+            arena.ends.push(arena.lits.len());
+        }
+        arena
+    }
+}
+
 const LUBY_UNIT: u64 = 128;
 /// Learned clauses tolerated before the first database reduction.
 const REDUCE_BASE: usize = 2000;
@@ -270,8 +361,8 @@ struct Watch {
 /// let mut s = SatSolver::new();
 /// let a = s.new_var();
 /// let b = s.new_var();
-/// s.add_clause(vec![Lit::pos(a), Lit::pos(b)]);
-/// s.add_clause(vec![Lit::neg(a)]);
+/// s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
+/// s.add_clause(&[Lit::neg(a)]);
 /// match s.solve() {
 ///     SatOutcome::Sat(model) => assert!(model[b as usize]),
 ///     SatOutcome::Unsat(_) => unreachable!(),
@@ -323,9 +414,9 @@ pub struct SatSolver {
     restarts: u64,
     reduced: u64,
     minimized: u64,
-    /// Verbatim copies of the input clauses (including units), kept for
-    /// RUP proof checking.
-    original: Vec<Vec<Lit>>,
+    /// The input clauses (including units), sorted and deduplicated,
+    /// kept for RUP proof checking.
+    original: ClauseArena,
     /// Checker-database index per stored clause: input clauses map to
     /// their position in `original`, learned clauses to `original.len()`
     /// plus their proof index (`u32::MAX` when the clause was never
@@ -405,7 +496,7 @@ impl SatSolver {
     /// The input clauses as given (after dedup/tautology elimination),
     /// for checking RUP proofs against.
     #[must_use]
-    pub fn original_clauses(&self) -> &[Vec<Lit>] {
+    pub fn original_clauses(&self) -> &ClauseArena {
         &self.original
     }
 
@@ -470,27 +561,23 @@ impl SatSolver {
     /// # Panics
     ///
     /// Panics if a literal mentions an unallocated variable.
-    pub fn add_clause(&mut self, mut lits: Vec<Lit>) {
-        for l in &lits {
+    pub fn add_clause(&mut self, lits: &[Lit]) {
+        for l in lits {
             assert!(
                 l.var() < self.num_vars,
                 "literal {l} uses unallocated variable"
             );
         }
-        lits.sort_unstable();
-        lits.dedup();
-        // Tautology check: adjacent complementary literals after sort.
-        if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
+        let cidx = self.original.len() as u32;
+        if !self.original.push_normalized(lits) {
             return;
         }
-        self.original.push(lits.clone());
-        let cidx = (self.original.len() - 1) as u32;
-        match lits.len() {
-            0 => {
+        match self.original[cidx as usize] {
+            [] => {
                 self.root_conflict = true;
                 self.root_conflict_hint.get_or_insert(cidx);
             }
-            1 => match self.value(lits[0]) {
+            [unit] => match self.value(unit) {
                 Some(false) => {
                     self.root_conflict = true;
                     self.root_conflict_hint.get_or_insert(cidx);
@@ -499,10 +586,11 @@ impl SatSolver {
                 None => {
                     // The unit clause itself derives the root assignment.
                     self.root_hints.push(cidx);
-                    self.enqueue(lits[0], u32::MAX);
+                    self.enqueue(unit, u32::MAX);
                 }
             },
-            _ => {
+            ref clause => {
+                let lits = clause.to_vec();
                 self.checker_idx.push(cidx);
                 let ci = self.clauses.len() as u32;
                 self.watches[lits[0].negate().index()].push(Watch {
@@ -1293,21 +1381,47 @@ fn luby(unit: u64, i: u32) -> u64 {
 /// occurrence-list search, so hints can never turn an invalid proof into
 /// an accepted one.
 #[must_use]
-pub fn check_rup_proof(num_vars: u32, clauses: &[Vec<Lit>], proof: &RupProof) -> bool {
+pub fn check_rup_proof(num_vars: u32, clauses: &ClauseArena, proof: &RupProof) -> bool {
     if proof.clauses.last().map(Vec::is_empty) != Some(true) {
         return false;
     }
     let hinted = proof.hints.len() == proof.clauses.len();
-    let mut db: Vec<Vec<Lit>> = clauses.to_vec();
     let mut assign: Vec<Option<bool>> = vec![None; num_vars as usize];
     for (i, learned) in proof.clauses.iter().enumerate() {
-        let by_hints = hinted && rup_hinted(&db, learned, &proof.hints[i], &mut assign);
-        if !by_hints && !rup_derivable(num_vars, &db, learned) {
+        let db = CheckDb {
+            originals: clauses,
+            learned: &proof.clauses[..i],
+        };
+        let by_hints = hinted && rup_hinted(db, learned, &proof.hints[i], &mut assign);
+        if !by_hints && !rup_derivable(num_vars, db, learned) {
             return false;
         }
-        db.push(learned.clone());
     }
     true
+}
+
+/// The checker's database for one proof step, borrowed rather than
+/// copied: the original clauses (`0..N`), then the proof clauses derived
+/// before this step (`N + j`).
+#[derive(Clone, Copy)]
+struct CheckDb<'a> {
+    originals: &'a ClauseArena,
+    learned: &'a [Vec<Lit>],
+}
+
+impl<'a> CheckDb<'a> {
+    fn get(self, i: usize) -> Option<&'a [Lit]> {
+        match i.checked_sub(self.originals.len()) {
+            None => self.originals.get(i),
+            Some(j) => self.learned.get(j).map(Vec::as_slice),
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = &'a [Lit]> {
+        self.originals
+            .iter()
+            .chain(self.learned.iter().map(Vec::as_slice))
+    }
 }
 
 /// What unit propagation sees in one clause under a partial assignment.
@@ -1351,7 +1465,7 @@ fn examine(c: &[Lit], assign: &[Option<bool>]) -> ClauseState {
 ///
 /// `assign` is caller-provided scratch (all `None` between calls) so the
 /// per-clause cost is the hinted clauses, not a fresh `num_vars` vector.
-fn rup_hinted(db: &[Vec<Lit>], clause: &[Lit], hints: &[u32], assign: &mut [Option<bool>]) -> bool {
+fn rup_hinted(db: CheckDb<'_>, clause: &[Lit], hints: &[u32], assign: &mut [Option<bool>]) -> bool {
     let mut trail: Vec<SatVar> = Vec::new();
     let mut derived = false;
     'assert: {
@@ -1403,7 +1517,7 @@ fn rup_hinted(db: &[Vec<Lit>], clause: &[Lit], hints: &[u32], assign: &mut [Opti
 /// computes — a clause's state only changes when one of its variables
 /// does — but proof checking stays near-linear instead of quadratic in
 /// the proof length.
-fn rup_derivable(num_vars: u32, db: &[Vec<Lit>], clause: &[Lit]) -> bool {
+fn rup_derivable(num_vars: u32, db: CheckDb<'_>, clause: &[Lit]) -> bool {
     let mut assign: Vec<Option<bool>> = vec![None; num_vars as usize];
     for &l in clause {
         let neg = l.negate();
@@ -1423,7 +1537,7 @@ fn rup_derivable(num_vars: u32, db: &[Vec<Lit>], clause: &[Lit]) -> bool {
         assign[l.var() as usize] = Some(l.is_pos());
         queue.push(l.var());
     };
-    for c in db {
+    for c in db.iter() {
         match examine(c, &assign) {
             ClauseState::Conflict => return true,
             ClauseState::Unit(l) => assert_unit(l, &mut assign, &mut queue),
@@ -1432,7 +1546,8 @@ fn rup_derivable(num_vars: u32, db: &[Vec<Lit>], clause: &[Lit]) -> bool {
     }
     while let Some(v) = queue.pop() {
         for &i in &occ[v as usize] {
-            match examine(&db[i as usize], &assign) {
+            let c = db.get(i as usize).expect("occurrence index in range");
+            match examine(c, &assign) {
                 ClauseState::Conflict => return true,
                 ClauseState::Unit(l) => assert_unit(l, &mut assign, &mut queue),
                 ClauseState::Satisfied | ClauseState::Unresolved => {}
@@ -1483,7 +1598,7 @@ struct Trimmer<'a> {
 }
 
 impl<'a> Trimmer<'a> {
-    fn new(num_vars: u32, clauses: &'a [Vec<Lit>]) -> Trimmer<'a> {
+    fn new(num_vars: u32, clauses: &'a ClauseArena) -> Trimmer<'a> {
         let n = num_vars as usize;
         let mut t = Trimmer {
             db: Vec::with_capacity(clauses.len()),
@@ -1497,7 +1612,7 @@ impl<'a> Trimmer<'a> {
             var_mark: vec![0; n],
             epoch: 0,
         };
-        for c in clauses {
+        for c in clauses.iter() {
             t.admit(c);
         }
         t
@@ -1709,7 +1824,7 @@ impl<'a> Trimmer<'a> {
 /// or the proof does not end with the empty clause); callers fall back to
 /// checking the untrimmed proof, which fails the same way.
 #[must_use]
-pub fn trim_proof(num_vars: u32, clauses: &[Vec<Lit>], proof: &RupProof) -> Option<RupProof> {
+pub fn trim_proof(num_vars: u32, clauses: &ClauseArena, proof: &RupProof) -> Option<RupProof> {
     if proof.clauses.last().map(Vec::is_empty) != Some(true) {
         return None;
     }
@@ -1772,6 +1887,10 @@ mod tests {
             .collect()
     }
 
+    fn arena(cs: &[Vec<Lit>]) -> ClauseArena {
+        cs.iter().collect()
+    }
+
     fn solver_with(num_vars: u32, clauses: &[Vec<Lit>]) -> SatSolver {
         solver_with_config(SatConfig::default(), num_vars, clauses)
     }
@@ -1782,7 +1901,7 @@ mod tests {
             s.new_var();
         }
         for c in clauses {
-            s.add_clause(c.clone());
+            s.add_clause(c);
         }
         s
     }
@@ -1819,7 +1938,7 @@ mod tests {
         let cs = vec![lits(&[1]), lits(&[-1])];
         let mut s = solver_with(1, &cs);
         match s.solve() {
-            SatOutcome::Unsat(p) => assert!(check_rup_proof(1, &cs, &p)),
+            SatOutcome::Unsat(p) => assert!(check_rup_proof(1, &arena(&cs), &p)),
             SatOutcome::Sat(_) => panic!("expected unsat"),
         }
     }
@@ -1829,7 +1948,9 @@ mod tests {
         let cs = pigeonhole_3_into_2();
         let mut s = solver_with(6, &cs);
         match s.solve() {
-            SatOutcome::Unsat(p) => assert!(check_rup_proof(6, &cs, &p), "RUP proof must check"),
+            SatOutcome::Unsat(p) => {
+                assert!(check_rup_proof(6, &arena(&cs), &p), "RUP proof must check")
+            }
             SatOutcome::Sat(_) => panic!("PHP(3,2) is unsat"),
         }
     }
@@ -1848,18 +1969,21 @@ mod tests {
                 panic!("PHP(3,2) is unsat");
             };
             assert!(p.is_hinted(), "solve must emit hints under {cfg:?}");
-            assert!(check_rup_proof(6, &cs, &p));
-            assert!(check_rup_proof(6, &cs, &p.strip_hints()));
+            assert!(check_rup_proof(6, &arena(&cs), &p));
+            assert!(check_rup_proof(6, &arena(&cs), &p.strip_hints()));
             // Replay each clause by its hints alone: every chain must end
             // in a conflict (rup_hinted returns false on a stalled chain).
-            let mut db = cs.clone();
+            let originals = arena(&cs);
             let mut assign = vec![None; 6];
             for (i, c) in p.clauses.iter().enumerate() {
+                let db = CheckDb {
+                    originals: &originals,
+                    learned: &p.clauses[..i],
+                };
                 assert!(
-                    rup_hinted(&db, c, &p.hints[i], &mut assign),
+                    rup_hinted(db, c, &p.hints[i], &mut assign),
                     "hint chain for proof clause {i} stalled under {cfg:?}"
                 );
-                db.push(c.clone());
             }
         }
     }
@@ -1876,7 +2000,7 @@ mod tests {
             match s.solve() {
                 SatOutcome::Unsat(p) => {
                     assert!(
-                        check_rup_proof(6, &cs, &p),
+                        check_rup_proof(6, &arena(&cs), &p),
                         "proof must check under {cfg:?}"
                     );
                 }
@@ -1909,7 +2033,7 @@ mod tests {
     fn empty_clause_is_unsat() {
         let mut s = SatSolver::new();
         s.new_var();
-        s.add_clause(Vec::new());
+        s.add_clause(&[]);
         assert!(matches!(s.solve(), SatOutcome::Unsat(_)));
     }
 
@@ -1917,7 +2041,7 @@ mod tests {
     fn tautologies_are_dropped() {
         let mut s = SatSolver::new();
         let v = s.new_var();
-        s.add_clause(vec![Lit::pos(v), Lit::neg(v)]);
+        s.add_clause(&[Lit::pos(v), Lit::neg(v)]);
         assert!(matches!(s.solve(), SatOutcome::Sat(_)));
     }
 
@@ -1956,7 +2080,7 @@ mod tests {
                 // The core alone (as unit clauses) refutes the formula.
                 let mut fresh = solver_with(5, &cs);
                 for &l in &core {
-                    fresh.add_clause(vec![l]);
+                    fresh.add_clause(&[l]);
                 }
                 assert!(matches!(fresh.solve(), SatOutcome::Unsat(_)));
             }
@@ -2013,13 +2137,13 @@ mod tests {
         let mut s = SatSolver::new();
         let a = s.new_var();
         let b = s.new_var();
-        s.add_clause(vec![Lit::pos(a), Lit::pos(b)]);
+        s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
         assert!(matches!(
             s.solve_with_assumptions(&[Lit::neg(a)], u64::MAX),
             Some(AssumptionOutcome::Sat(_))
         ));
         // New clause forces a; the retained solver must notice.
-        s.add_clause(vec![Lit::neg(b)]);
+        s.add_clause(&[Lit::neg(b)]);
         match s.solve_with_assumptions(&[Lit::neg(a)], u64::MAX) {
             Some(AssumptionOutcome::Unsat(core)) => assert_eq!(core, vec![Lit::neg(a)]),
             other => panic!("expected unsat, got {other:?}"),
@@ -2074,7 +2198,7 @@ mod tests {
             };
             let mut scratch = solver_with(num_vars, &clauses);
             for &l in &assumptions {
-                scratch.add_clause(vec![l]);
+                scratch.add_clause(&[l]);
             }
             let scratch_sat = matches!(scratch.solve(), SatOutcome::Sat(_));
             assert_eq!(inc_sat, scratch_sat, "round {round} diverged");
@@ -2084,7 +2208,7 @@ mod tests {
                     .map(|_| Lit::with_sign(rnd(u64::from(num_vars)) as SatVar, rnd(2) == 0))
                     .collect();
                 clauses.push(c.clone());
-                inc.add_clause(c);
+                inc.add_clause(&c);
             }
         }
     }
@@ -2119,7 +2243,7 @@ mod tests {
             }
             SatOutcome::Unsat(p) => {
                 assert!(
-                    check_rup_proof(num_vars, &cs, &p),
+                    check_rup_proof(num_vars, &arena(&cs), &p),
                     "proof survives reduction"
                 );
                 false
@@ -2150,7 +2274,7 @@ mod tests {
         }
         let mut s = solver_with(20, &cs);
         match s.solve() {
-            SatOutcome::Unsat(p) => assert!(check_rup_proof(20, &cs, &p)),
+            SatOutcome::Unsat(p) => assert!(check_rup_proof(20, &arena(&cs), &p)),
             SatOutcome::Sat(_) => panic!("PHP(5,4) is unsat"),
         }
         assert!(s.conflict_count() > 0);
@@ -2178,7 +2302,7 @@ mod tests {
         let mut loud = solver_with(1, &cs);
         loud.set_proof_logging(true);
         match loud.solve() {
-            SatOutcome::Unsat(p) => assert!(check_rup_proof(1, &cs, &p)),
+            SatOutcome::Unsat(p) => assert!(check_rup_proof(1, &arena(&cs), &p)),
             SatOutcome::Sat(_) => panic!("expected unsat"),
         }
     }
@@ -2190,13 +2314,13 @@ mod tests {
             clauses: vec![Vec::new()],
             hints: Vec::new(),
         };
-        assert!(!check_rup_proof(2, &cs, &bogus));
+        assert!(!check_rup_proof(2, &arena(&cs), &bogus));
         // Proof not ending in the empty clause is rejected.
         let not_ending = RupProof {
             clauses: vec![lits(&[1])],
             hints: Vec::new(),
         };
-        assert!(!check_rup_proof(2, &cs, &not_ending));
+        assert!(!check_rup_proof(2, &arena(&cs), &not_ending));
     }
 
     /// Solves an unsat instance and returns (original proof, clauses).
@@ -2212,7 +2336,7 @@ mod tests {
     fn trimmed_proof_checks_with_and_without_hints() {
         let cs = pigeonhole_3_into_2();
         let proof = unsat_proof(6, &cs);
-        let trimmed = trim_proof(6, &cs, &proof).expect("valid proof trims");
+        let trimmed = trim_proof(6, &arena(&cs), &proof).expect("valid proof trims");
         assert!(trimmed.is_hinted(), "trimming attaches hints");
         assert!(
             trimmed.clauses.len() <= proof.clauses.len(),
@@ -2223,9 +2347,12 @@ mod tests {
             Some(true),
             "trimmed proof still ends with the empty clause"
         );
-        assert!(check_rup_proof(6, &cs, &trimmed), "hinted replay checks");
         assert!(
-            check_rup_proof(6, &cs, &trimmed.strip_hints()),
+            check_rup_proof(6, &arena(&cs), &trimmed),
+            "hinted replay checks"
+        );
+        assert!(
+            check_rup_proof(6, &arena(&cs), &trimmed.strip_hints()),
             "hints are an accelerator, not a crutch: search still checks"
         );
     }
@@ -2233,12 +2360,12 @@ mod tests {
     #[test]
     fn tampered_trimmed_proofs_are_rejected() {
         let cs = pigeonhole_3_into_2();
-        let trimmed = trim_proof(6, &cs, &unsat_proof(6, &cs)).expect("valid proof trims");
+        let trimmed = trim_proof(6, &arena(&cs), &unsat_proof(6, &cs)).expect("valid proof trims");
         // Dropping the final empty clause invalidates the refutation.
         let mut headless = trimmed.clone();
         headless.clauses.pop();
         headless.hints.pop();
-        assert!(!check_rup_proof(6, &cs, &headless));
+        assert!(!check_rup_proof(6, &arena(&cs), &headless));
         // Flipping a literal in a non-empty proof clause must be caught by
         // the hinted checker (hints verify, never assume, propagations).
         let target = trimmed.clauses.iter().position(|c| !c.is_empty());
@@ -2250,8 +2377,8 @@ mod tests {
             // Either way, acceptance implies genuine derivability: compare
             // against the unhinted checker, the trusted base.
             assert_eq!(
-                check_rup_proof(6, &cs, &flipped),
-                check_rup_proof(6, &cs, &flipped.strip_hints()),
+                check_rup_proof(6, &arena(&cs), &flipped),
+                check_rup_proof(6, &arena(&cs), &flipped.strip_hints()),
                 "hints never change the verdict"
             );
         }
@@ -2262,7 +2389,7 @@ mod tests {
             clauses: vec![Vec::new()],
             hints: vec![vec![0, 0, 0]],
         };
-        assert!(!check_rup_proof(2, &sat_cs, &fabricated));
+        assert!(!check_rup_proof(2, &arena(&sat_cs), &fabricated));
     }
 
     #[test]
@@ -2272,12 +2399,12 @@ mod tests {
             clauses: vec![Vec::new()],
             hints: Vec::new(),
         };
-        assert!(trim_proof(2, &sat_cs, &bogus).is_none());
+        assert!(trim_proof(2, &arena(&sat_cs), &bogus).is_none());
         let not_ending = RupProof {
             clauses: vec![lits(&[1])],
             hints: Vec::new(),
         };
-        assert!(trim_proof(2, &sat_cs, &not_ending).is_none());
+        assert!(trim_proof(2, &arena(&sat_cs), &not_ending).is_none());
     }
 
     #[test]
@@ -2290,13 +2417,128 @@ mod tests {
             clauses: vec![lits(&[3, 4]), Vec::new()],
             hints: Vec::new(),
         };
-        assert!(check_rup_proof(4, &cs, &padded));
-        let trimmed = trim_proof(4, &cs, &padded).expect("padded proof is valid");
+        assert!(check_rup_proof(4, &arena(&cs), &padded));
+        let trimmed = trim_proof(4, &arena(&cs), &padded).expect("padded proof is valid");
         assert_eq!(
             trimmed.clauses,
             vec![Vec::<Lit>::new()],
             "only the empty clause survives trimming"
         );
-        assert!(check_rup_proof(4, &cs, &trimmed));
+        assert!(check_rup_proof(4, &arena(&cs), &trimmed));
+    }
+
+    /// A satisfiable database mixing a unit, a duplicate literal and
+    /// wider clauses (model: x1, x2, x4 true).
+    fn satisfiable_arena() -> ClauseArena {
+        arena(&[
+            lits(&[1]),
+            lits(&[-1, 2]),
+            lits(&[2, 3, 3]),
+            lits(&[-3, -2, 4]),
+        ])
+    }
+
+    #[test]
+    fn arena_stores_normalised_input_clauses_in_order() {
+        let mut s = SatSolver::new();
+        for _ in 0..3 {
+            s.new_var();
+        }
+        s.add_clause(&lits(&[2, 1, 2]));
+        s.add_clause(&lits(&[3, -3])); // tautology: not stored
+        s.add_clause(&lits(&[-3]));
+        s.add_clause(&[]);
+        let db = s.original_clauses();
+        assert_eq!(db.len(), 3);
+        assert_eq!(&db[0], lits(&[1, 2]).as_slice());
+        assert_eq!(&db[1], lits(&[-3]).as_slice());
+        assert!(db[2].is_empty());
+        assert!(db.get(3).is_none());
+        let collected: Vec<Vec<Lit>> = db.iter().map(<[Lit]>::to_vec).collect();
+        assert_eq!(arena(&collected), *db, "iter and collect round-trip");
+    }
+
+    #[test]
+    fn lone_empty_clause_with_bogus_hints_is_rejected() {
+        let db = satisfiable_arena();
+        let n = db.len() as u32;
+        for hints in [
+            vec![],
+            vec![0],
+            vec![0, 1, 2, 3],
+            vec![3, 2, 1, 0],
+            vec![1, 1, 1],
+            vec![n],
+            vec![n + 7],
+            vec![0, n, 1],
+            vec![u32::MAX],
+        ] {
+            let proof = RupProof {
+                clauses: vec![Vec::new()],
+                hints: vec![hints.clone()],
+            };
+            assert!(!check_rup_proof(4, &db, &proof), "hints {hints:?} accepted");
+            assert!(
+                trim_proof(4, &db, &proof).is_none(),
+                "hints {hints:?} trimmed"
+            );
+        }
+    }
+
+    /// Step `i` of a proof sees the originals and proof clauses `0..i`
+    /// only: a hint at the clause being derived, or a later one, is out
+    /// of range. Were it in range, `[¬x2]` (not derivable: x2 is forced)
+    /// would conflict with its own negation and be accepted.
+    #[test]
+    fn a_proof_clause_cannot_hint_itself_or_a_later_clause() {
+        let db = satisfiable_arena();
+        let n = db.len() as u32;
+        let proof = RupProof {
+            clauses: vec![lits(&[-2]), Vec::new()],
+            hints: vec![vec![n], vec![n, n + 1]],
+        };
+        assert!(!check_rup_proof(4, &db, &proof));
+        let mut assign = vec![None; 4];
+        let step0 = CheckDb {
+            originals: &db,
+            learned: &proof.clauses[..0],
+        };
+        assert!(!rup_hinted(step0, &proof.clauses[0], &[n], &mut assign));
+        assert!(assign.iter().all(Option::is_none), "scratch is restored");
+    }
+
+    #[test]
+    fn hints_into_learned_clauses_replay_without_search() {
+        // (x1 ∨ x2)(x1 ∨ ¬x2)(¬x1 ∨ x2)(¬x1 ∨ ¬x2): learn x1, then refute
+        // through it (checker index N + 0).
+        let originals = arena(&[
+            lits(&[1, 2]),
+            lits(&[1, -2]),
+            lits(&[-1, 2]),
+            lits(&[-1, -2]),
+        ]);
+        let n = originals.len() as u32;
+        let proof = RupProof {
+            clauses: vec![lits(&[1]), Vec::new()],
+            hints: vec![vec![0, 1], vec![n, 2, 3]],
+        };
+        assert!(check_rup_proof(2, &originals, &proof));
+        // Each chain reaches its conflict by itself, with no fallback.
+        let mut assign = vec![None; 2];
+        for (i, c) in proof.clauses.iter().enumerate() {
+            let db = CheckDb {
+                originals: &originals,
+                learned: &proof.clauses[..i],
+            };
+            assert!(
+                rup_hinted(db, c, &proof.hints[i], &mut assign),
+                "chain {i} stalled"
+            );
+        }
+        // Trimming keeps the learned clause and hints into it again.
+        let trimmed = trim_proof(2, &originals, &proof).expect("valid proof trims");
+        assert_eq!(trimmed.clauses, proof.clauses);
+        assert_eq!(trimmed.hints[1], vec![n, 2, 3]);
+        assert!(check_rup_proof(2, &originals, &trimmed));
     }
 }

@@ -43,10 +43,11 @@ use islaris_obs::{QueryStats, SessionMetrics, SolverMetrics};
 use crate::cnf::{BlastError, Blaster};
 use crate::eval::eval_bool;
 use crate::expr::{Expr, Sort, Var};
-use crate::sat::{check_rup_proof, trim_proof, AssumptionOutcome, Lit, SatOutcome};
+use crate::sat::{AssumptionOutcome, Lit, SatOutcome};
 use crate::simplify::simplify;
 use crate::solver::{
-    metrics_delta, query_delta, render_query, solve, Model, QueryCtx, SmtResult, SolverConfig,
+    checked_unsat, metrics_delta, query_delta, render_query, solve, Model, QueryCtx, SmtResult,
+    SolverConfig,
 };
 
 // ---------------------------------------------------------------------------
@@ -346,27 +347,7 @@ impl Session {
                 m.sat += 1;
                 SmtResult::Sat(model)
             }
-            Some(SatOutcome::Unsat(proof)) => {
-                // Same trim-then-check discipline as the scratch solver:
-                // trimming is untrusted, the checker is the base.
-                let num_vars = blaster.sat_num_vars();
-                let db = blaster.sat_original_clauses();
-                let trimmed = trim_proof(num_vars, db, &proof);
-                let ok = match &trimmed {
-                    Some(t) => check_rup_proof(num_vars, db, t),
-                    None => check_rup_proof(num_vars, db, &proof),
-                };
-                if !ok {
-                    debug_assert!(false, "RUP proof failed to check");
-                    m.unknown += 1;
-                    return SmtResult::Unknown("internal error: RUP proof invalid".into());
-                }
-                if let Some(t) = &trimmed {
-                    m.trimmed += (proof.clauses.len() - t.clauses.len()) as u64;
-                }
-                m.unsat += 1;
-                SmtResult::Unsat
-            }
+            Some(SatOutcome::Unsat(proof)) => checked_unsat(&blaster, &proof, m),
         }
     }
 

@@ -350,33 +350,48 @@ pub(crate) fn solve(
             m.sat += 1;
             SmtResult::Sat(model)
         }
-        Some(SatOutcome::Unsat(proof)) => {
-            if cfg.check_proofs {
-                // Trim the proof to the clauses the final conflict actually
-                // depends on and attach antecedent hints, then replay through
-                // the trusted checker. Trimming is an untrusted accelerator:
-                // if it fails (it should not), the full proof is checked the
-                // slow way instead.
-                let num_vars = blaster.sat_num_vars();
-                let db = blaster.sat_original_clauses();
-                let trimmed = trim_proof(num_vars, db, &proof);
-                let ok = match &trimmed {
-                    Some(t) => check_rup_proof(num_vars, db, t),
-                    None => check_rup_proof(num_vars, db, &proof),
-                };
-                if !ok {
-                    debug_assert!(false, "RUP proof failed to check");
-                    m.unknown += 1;
-                    return SmtResult::Unknown("internal error: RUP proof invalid".into());
-                }
-                if let Some(t) = &trimmed {
-                    m.trimmed += (proof.clauses.len() - t.clauses.len()) as u64;
-                }
-            }
+        Some(SatOutcome::Unsat(proof)) if cfg.check_proofs => checked_unsat(&blaster, &proof, m),
+        Some(SatOutcome::Unsat(_)) => {
             m.unsat += 1;
             SmtResult::Unsat
         }
     }
+}
+
+/// The verdict of a proof-logging solve that answered `Unsat`: `Unsat`
+/// once `proof` checks against `blaster`'s clauses, an internal-error
+/// `Unknown` otherwise.
+///
+/// The proof is first trimmed to the clauses the final conflict actually
+/// depends on, with antecedent hints attached, and then replayed through
+/// the trusted checker. Trimming is an untrusted accelerator: if it fails
+/// (it should not), the full proof is checked the slow way instead. A
+/// proof that is only the empty clause is already minimal, so it is
+/// checked as it stands — trimming would build per-literal occurrence
+/// lists over the whole database to hand back the same clause.
+pub(crate) fn checked_unsat(
+    blaster: &Blaster,
+    proof: &RupProof,
+    m: &mut SolverMetrics,
+) -> SmtResult {
+    let num_vars = blaster.sat_num_vars();
+    let db = blaster.sat_original_clauses();
+    let trimmed = if proof.clauses.len() > 1 {
+        trim_proof(num_vars, db, proof)
+    } else {
+        None
+    };
+    let ok = check_rup_proof(num_vars, db, trimmed.as_ref().unwrap_or(proof));
+    if !ok {
+        debug_assert!(false, "RUP proof failed to check");
+        m.unknown += 1;
+        return SmtResult::Unknown("internal error: RUP proof invalid".into());
+    }
+    if let Some(t) = &trimmed {
+        m.trimmed += (proof.clauses.len() - t.clauses.len()) as u64;
+    }
+    m.unsat += 1;
+    SmtResult::Unsat
 }
 
 /// The stable identity of a solver query: FNV-1a over the Isla-syntax

@@ -14,7 +14,8 @@
 //! `ISLARIS_PT_SEED`.
 
 use islaris_smt::sat::{
-    check_rup_proof, trim_proof, AssumptionOutcome, Lit, RupProof, SatConfig, SatOutcome, SatSolver,
+    check_rup_proof, trim_proof, AssumptionOutcome, ClauseArena, Lit, RupProof, SatConfig,
+    SatOutcome, SatSolver,
 };
 use islaris_testkit::{forall, Rng, TestResult};
 
@@ -67,7 +68,7 @@ fn build(cfg: SatConfig, inst: &Instance) -> SatSolver {
         s.new_var();
     }
     for c in &inst.clauses {
-        s.add_clause(c.clone());
+        s.add_clause(c);
     }
     s
 }
@@ -86,10 +87,15 @@ fn checked_unsat(num_vars: u32, clauses: &[Vec<Lit>], units: &[Lit]) -> Result<(
     for _ in 0..num_vars {
         s.new_var();
     }
-    let mut all: Vec<Vec<Lit>> = clauses.to_vec();
-    all.extend(units.iter().map(|&l| vec![l]));
-    for c in &all {
-        s.add_clause(c.clone());
+    // The raw clauses (duplicate literals included) plus the units: the
+    // checker must accept a refutation of the formula exactly as given.
+    let all: ClauseArena = clauses
+        .iter()
+        .map(Vec::as_slice)
+        .chain(units.iter().map(std::slice::from_ref))
+        .collect();
+    for c in all.iter() {
+        s.add_clause(c);
     }
     match s.solve() {
         SatOutcome::Sat(_) => Err("re-proving solver found the instance satisfiable".into()),
@@ -116,7 +122,7 @@ fn checked_unsat(num_vars: u32, clauses: &[Vec<Lit>], units: &[Lit]) -> Result<(
 ///     wrong hints can never manufacture an acceptance.
 fn checked_trimmed_replay(
     num_vars: u32,
-    clauses: &[Vec<Lit>],
+    clauses: &ClauseArena,
     proof: &RupProof,
 ) -> Result<(), String> {
     let trimmed =

@@ -33,7 +33,8 @@ fn trim_split() {
     let nv = b.sat_num_vars();
     let db = b.sat_original_clauses();
     eprintln!(
-        "solve {t_solve:?}; proof clauses {} total lits {}",
+        "solve {t_solve:?}; {} original clauses; proof clauses {} total lits {}",
+        db.len(),
         proof.clauses.len(),
         proof.clauses.iter().map(Vec::len).sum::<usize>()
     );

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use islaris_cases::{run_cases, PipelineOpts, PipelineReport, ALL_CASES};
 use islaris_isla::TraceCache;
-use islaris_obs::render_profiles;
+use islaris_obs::{profiles_to_json, render_profiles};
 use islaris_smt::QueryCache;
 
 /// One pipeline run over the first three Fig. 12 cases (two ISAs plus a
@@ -183,4 +183,38 @@ fn profile_reports_every_stage_for_every_case() {
             "stage `{stage}` must appear once per case in:\n{text}"
         );
     }
+}
+
+/// The full nine-case counter profile, as `fig12 --profile --profile-json`
+/// writes it (fresh trace cache, solver cache on), must match the
+/// committed `tests/golden/profile.json` byte for byte. The counters
+/// cover the search (decisions, conflicts, propagations), the CNF size,
+/// the LIA query count and the replay work, so an engine change that
+/// claims to keep the same search, the same CNF and the same LIA verdicts
+/// is held to it here.
+///
+/// To regenerate after an intentional change to any of them:
+///
+/// ```text
+/// fig12 --profile --profile-json tests/golden/profile.json
+/// ```
+#[test]
+fn counter_profile_matches_golden() {
+    let report = run_cases(
+        ALL_CASES,
+        &PipelineOpts {
+            cache: Some(&TraceCache::new()),
+            qcache: Some(Arc::new(QueryCache::new())),
+            ..PipelineOpts::default()
+        },
+    );
+    assert!(report.all_ok(), "profiled cases must verify");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/profile.json");
+    let golden = std::fs::read_to_string(&path).expect("golden profile is committed");
+    assert_eq!(
+        profiles_to_json(&report.profiles()),
+        golden,
+        "counter profile differs from {}",
+        path.display()
+    );
 }
