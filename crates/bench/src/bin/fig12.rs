@@ -12,21 +12,13 @@
 //!   shared trace cache, reporting per-case wall times, cache hit rates,
 //!   and speedups. The stable (non-timing) columns are asserted
 //!   byte-identical across all three runs.
-//! * `--bench [ITERS] [--warmup W] [--json PATH] [--sat-off FEATURE]
-//!   [--jobs N]` — the statistical benchmarks: every case's two pipeline
-//!   halves (`trace/<slug>`, `verify/<slug>`) plus the stage
-//!   micro-benchmarks, measured over W warm-up + ITERS iterations with
+//! * `--bench [ITERS] [--warmup W] [--json PATH] [--jobs N]` — the
+//!   statistical benchmarks: every case's two pipeline halves
+//!   (`trace/<slug>`, `verify/<slug>`) plus the stage micro-benchmarks,
+//!   measured over W warm-up + ITERS iterations with
 //!   min/median/p90/max/MAD, optionally exported as versioned
-//!   `islaris-bench/v1` JSON. `--sat-off FEATURE` runs the whole suite
-//!   with one solver feature disabled (the per-feature A/B arm);
-//!   `--jobs N` verifies each case's blocks over N intra-case workers
-//!   (verdicts unchanged, wall-clock only).
-//! * `--sat-off FEATURE [--jobs N]` — the solver-feature ablation table:
-//!   runs the registry with all features on and with FEATURE off,
-//!   asserts the verdict rows byte-identical (heuristics may only change
-//!   effort, never verdicts), and prints both wall times and per-stage
-//!   counter profiles. Features: vsids, phase, restarts, reduce,
-//!   minimize, fold.
+//!   `islaris-bench/v1` JSON. `--jobs N` verifies each case's blocks over
+//!   N intra-case workers (verdicts unchanged, wall-clock only).
 //! * `--bench-compare OLD.json NEW.json [--threshold PCT]` — the
 //!   perf-regression gate: diffs two `--json` exports by median and exits
 //!   nonzero if any benchmark's median grew more than PCT percent
@@ -67,14 +59,12 @@ use islaris_cases::{
 use islaris_isla::TraceCache;
 use islaris_obs::json::parse_json;
 use islaris_obs::{profiles_to_json, render_profiles, render_proof_trace, Recorder};
-use islaris_smt::{QueryCache, SatConfig};
+use islaris_smt::QueryCache;
 
 fn usage() -> ! {
     eprintln!(
         "usage: fig12 [--jobs N] \
-         [--sat-off FEATURE [--jobs N]] \
-         [--bench [ITERS] [--warmup W] [--json PATH] [--solver-cache on|off] \
-         [--sat-off FEATURE] [--jobs N]] \
+         [--bench [ITERS] [--warmup W] [--json PATH] [--solver-cache on|off] [--jobs N]] \
          [--bench-compare OLD.json NEW.json [--threshold PCT]] [--trace-proof SLUG] \
          [--profile [--jobs N] [--profile-out PATH] [--profile-json PATH] [--hot-queries K] \
          [--solver-cache on|off]] \
@@ -95,62 +85,6 @@ fn parse_solver_cache(arg: Option<&String>) -> bool {
         Some("on") => true,
         Some("off") => false,
         _ => usage(),
-    }
-}
-
-/// Parses a `--sat-off` operand into the ablated configuration.
-fn parse_sat_off(arg: Option<&String>) -> SatConfig {
-    let Some(feature) = arg else { usage() };
-    SatConfig::default().without(feature).unwrap_or_else(|| {
-        eprintln!(
-            "unknown solver feature `{feature}`; known features: {}",
-            SatConfig::FEATURES.join(" ")
-        );
-        exit(2);
-    })
-}
-
-/// The `--sat-off FEATURE` A/B run: the full registry under the default
-/// configuration and under the ablated one, verdict rows asserted
-/// byte-identical (heuristics may only change effort, never verdicts),
-/// then both per-stage counter profiles for attribution.
-fn sat_off(feature: &str, jobs: usize) {
-    let ablated = parse_sat_off(Some(&feature.to_string()));
-    let base = PipelineOpts {
-        jobs,
-        ..PipelineOpts::default()
-    };
-    let base_run = run_cases(ALL_CASES, &base);
-    let alt_run = run_cases(
-        ALL_CASES,
-        &PipelineOpts {
-            sat: ablated,
-            ..base
-        },
-    );
-    assert_eq!(
-        base_run.stable_rows(),
-        alt_run.stable_rows(),
-        "verdict rows changed with `{feature}` off — a heuristic altered a verdict"
-    );
-
-    println!("all features on:");
-    print!("{}", base_run.render());
-    println!("\n`{feature}` off:");
-    print!("{}", alt_run.render());
-    println!("\nstable rows: identical across both configurations");
-    println!(
-        "wall: all-on {:.3}s, `{feature}` off {:.3}s",
-        base_run.wall.as_secs_f64(),
-        alt_run.wall.as_secs_f64(),
-    );
-    println!("\nper-stage counters, all features on:");
-    print!("{}", render_profiles(&base_run.profiles()));
-    println!("\nper-stage counters, `{feature}` off:");
-    print!("{}", render_profiles(&alt_run.profiles()));
-    if !(base_run.all_ok() && alt_run.all_ok()) {
-        eprintln!("some cases FAILED");
-        exit(1);
     }
 }
 
@@ -634,7 +568,6 @@ fn main() {
             let mut warmup = 1;
             let mut json_path: Option<String> = None;
             let mut solver_cache = false;
-            let mut sat = SatConfig::default();
             let mut jobs = 1;
             let mut i = 1;
             if let Some(v) = args.get(1).and_then(|s| s.parse::<usize>().ok()) {
@@ -665,10 +598,6 @@ fn main() {
                         solver_cache = parse_solver_cache(args.get(i + 1));
                         i += 2;
                     }
-                    "--sat-off" => {
-                        sat = parse_sat_off(args.get(i + 1));
-                        i += 2;
-                    }
                     _ => usage(),
                 }
             }
@@ -676,28 +605,9 @@ fn main() {
                 warmup,
                 iters,
                 solver_cache,
-                sat,
                 jobs,
             };
             bench_mode(&opts, json_path.as_deref());
-        }
-        Some("--sat-off") => {
-            let Some(feature) = args.get(1) else { usage() };
-            let mut jobs = 1;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--jobs" => {
-                        jobs = args
-                            .get(i + 1)
-                            .and_then(|s| s.parse::<usize>().ok())
-                            .unwrap_or_else(|| usage());
-                        i += 2;
-                    }
-                    _ => usage(),
-                }
-            }
-            sat_off(feature, jobs);
         }
         Some("--bench-compare") => {
             let (Some(old_path), Some(new_path)) = (args.get(1), args.get(2)) else {

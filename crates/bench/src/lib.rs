@@ -29,7 +29,7 @@ use islaris_core::{check_certificate, Verifier};
 use islaris_isla::{trace_opcode, IslaConfig, Opcode};
 use islaris_models::ARM;
 use islaris_obs::{parse_json, Json, QueryTable};
-use islaris_smt::{entails, BvCmp, Expr, QueryCache, QueryCtx, SatConfig, SolverConfig, Sort, Var};
+use islaris_smt::{entails, BvCmp, Expr, QueryCache, QueryCtx, SolverConfig, Sort, Var};
 
 pub mod replay;
 pub mod serve;
@@ -166,7 +166,7 @@ pub fn bench<T>(
 }
 
 /// What the `--bench` suites measure and how. Committed baselines run
-/// with no solver cache, all solver features on, and one worker.
+/// with no solver cache and one worker.
 #[derive(Debug, Clone)]
 pub struct BenchOpts {
     /// Unmeasured iterations per sample.
@@ -179,11 +179,6 @@ pub struct BenchOpts {
     /// --solver-cache on` A/B arm). Off by default: committed baselines
     /// measure the session win alone, with every solver query recomputed.
     pub solver_cache: bool,
-    /// Solver feature configuration (`fig12 --bench --sat-off FEATURE`):
-    /// both pipeline halves and the `solver/*` micro-benchmarks run with
-    /// it, so a feature's contribution is directly A/B-measurable.
-    /// Certificate replay keeps the default configuration, as everywhere.
-    pub sat: SatConfig,
     /// Intra-case parallelism for the `verify/*` halves (`fig12 --bench
     /// --jobs N`). Verdicts and counters are byte-identical across
     /// values — only wall-clock changes — so samples stay comparable to
@@ -201,7 +196,7 @@ pub struct BenchOpts {
 pub fn case_benches(opts: &BenchOpts) -> Vec<Sample> {
     let (warmup, iters) = (opts.warmup, opts.iters);
     let mut out = Vec::new();
-    let ctx = CaseCtx::default().with_sat(opts.sat);
+    let ctx = CaseCtx::default();
     for def in ALL_CASES {
         out.push(bench(format!("trace/{}", def.slug), warmup, iters, || {
             (def.build)(&ctx)
@@ -225,7 +220,7 @@ pub fn case_benches(opts: &BenchOpts) -> Vec<Sample> {
 /// mode on a representative side condition.
 #[must_use]
 pub fn stage_benches(opts: &BenchOpts) -> Vec<Sample> {
-    let (warmup, iters, sat) = (opts.warmup, opts.iters, opts.sat);
+    let (warmup, iters) = (opts.warmup, opts.iters);
     let mut out = Vec::new();
 
     // Isla column: Fig. 3's `add sp, sp, #0x40`, with the EL/SP
@@ -262,17 +257,11 @@ pub fn stage_benches(opts: &BenchOpts) -> Vec<Sample> {
     // Solver ablation: Ult transitivity, plain vs paranoid (RUP-checked).
     let sorts = ult_sorts;
     let (facts, goal) = ult_transitivity_query();
-    let plain = SolverConfig {
-        sat,
-        ..SolverConfig::new()
-    };
+    let plain = SolverConfig::new();
     out.push(bench("solver/ult_transitivity_64", warmup, iters, || {
         entails(&facts, &goal, &sorts, &plain, &mut QueryCtx::default())
     }));
-    let paranoid = SolverConfig {
-        sat,
-        ..SolverConfig::paranoid()
-    };
+    let paranoid = SolverConfig::paranoid();
     out.push(bench(
         "solver/ult_transitivity_64_checked",
         warmup,

@@ -853,7 +853,7 @@ fn verify(state: &Arc<ServerState>, body: &[u8], rt: &ReqTrace) -> Result<String
     let submitted =
         state
             .pool
-            .try_submit_traced(deadline, Some(Arc::clone(&rt.recorder)), move |expired| {
+            .try_submit(deadline, Some(Arc::clone(&rt.recorder)), move |expired| {
                 job_state.metrics.stages.inc("dequeue");
                 let queue_wait = elapsed_ns(enqueued_at);
                 job_state.metrics.queue_wait_ns.observe(queue_wait);

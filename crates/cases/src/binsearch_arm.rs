@@ -431,11 +431,10 @@ pub fn build_case() -> CaseArtifacts {
 #[must_use]
 pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
     let program = program();
-    let mut cfg = IslaConfig::new(ARM)
+    let cfg = IslaConfig::new(ARM)
         .assume_reg("PSTATE.EL", Bv::new(2, 0b10))
         .assume_reg("PSTATE.SP", Bv::new(1, 1))
         .assume_reg("SCTLR_EL2", Bv::zero(64));
-    cfg.solver.sat = ctx.sat;
     let (instrs, isla_stats, cache) = trace_program_map_with(ctx, &cfg, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
@@ -480,7 +479,6 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
         protocol: Arc::new(NoIo),
         isla_stats,
         cache,
-        sat: ctx.sat,
     }
 }
 

@@ -357,8 +357,7 @@ pub fn build_case() -> CaseArtifacts {
 #[must_use]
 pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
     let program = program();
-    let mut cfg = IslaConfig::new(RISCV);
-    cfg.solver.sat = ctx.sat;
+    let cfg = IslaConfig::new(RISCV);
     let (instrs, isla_stats, cache) = trace_program_map_with(ctx, &cfg, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
@@ -403,7 +402,6 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
         protocol: Arc::new(NoIo),
         isla_stats,
         cache,
-        sat: ctx.sat,
     }
 }
 

@@ -155,8 +155,7 @@ pub fn build_case() -> CaseArtifacts {
 pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
     let program = program();
     // Unconstrained configuration: the program changes EL at runtime.
-    let mut cfg = IslaConfig::new(ARM);
-    cfg.solver.sat = ctx.sat;
+    let cfg = IslaConfig::new(ARM);
     let (instrs, isla_stats, cache) = trace_program_map_with(ctx, &cfg, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
@@ -187,7 +186,6 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
         protocol: Arc::new(NoIo),
         isla_stats,
         cache,
-        sat: ctx.sat,
     }
 }
 

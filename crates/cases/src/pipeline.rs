@@ -15,10 +15,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use islaris_core::{run_jobs_profiled, JobPanic};
+use islaris_core::{run_jobs, JobPanic};
 use islaris_isla::{CacheStats, TraceCache};
 use islaris_obs::{CaseProfile, QueryTable, Recorder};
-use islaris_smt::{QueryCache, SatConfig};
+use islaris_smt::QueryCache;
 
 use crate::report::{run_case, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts};
 use crate::{
@@ -246,8 +246,8 @@ impl PipelineReport {
 }
 
 /// How [`run_cases`] schedules and builds the cases. The default is one
-/// worker, no caches, no span recording, all solver features on; every
-/// other field is an optional collaborator.
+/// worker, no caches, no span recording; every other field is an
+/// optional collaborator.
 #[derive(Clone)]
 pub struct PipelineOpts<'a> {
     /// Workers for the case-level fan-out.
@@ -265,13 +265,6 @@ pub struct PipelineOpts<'a> {
     /// profile counter except the `q.cache` traffic row (and the
     /// hot-query `hits` column) are byte-identical with and without it.
     pub qcache: Option<Arc<QueryCache>>,
-    /// Solver feature configuration (`fig12 --sat-off FEATURE`): every
-    /// solver the cases touch — trace generation, proof automation, side
-    /// provers — runs with it; certificate replay keeps the default
-    /// configuration as an independent check. Verdicts and certificates
-    /// are identical for every configuration; only effort counters and
-    /// wall time may differ.
-    pub sat: SatConfig,
 }
 
 impl Default for PipelineOpts<'_> {
@@ -281,7 +274,6 @@ impl Default for PipelineOpts<'_> {
             cache: None,
             recorder: None,
             qcache: None,
-            sat: SatConfig::default(),
         }
     }
 }
@@ -296,7 +288,6 @@ pub fn run_cases(cases: &[CaseDef], opts: &PipelineOpts) -> PipelineReport {
     let ctx = CaseCtx {
         cache: opts.cache,
         jobs: 1,
-        sat: opts.sat,
     };
     let run = RunOpts {
         qcache: opts.qcache.clone(),
@@ -304,28 +295,21 @@ pub fn run_cases(cases: &[CaseDef], opts: &PipelineOpts) -> PipelineReport {
     };
     let recorder = opts.recorder;
     let start = Instant::now();
-    let rows = run_jobs_profiled(
-        opts.jobs,
-        cases.len(),
-        |i| {
-            let t0 = Instant::now();
-            let art = {
-                let _span =
-                    recorder.map(|rec| rec.span(format!("build:{}", cases[i].name), "case"));
-                (cases[i].build)(&ctx)
-            };
-            let (outcome, _) = {
-                let _span =
-                    recorder.map(|rec| rec.span(format!("verify:{}", cases[i].name), "case"));
-                run_case(&art, &run).expect("no deadline set")
-            };
-            CaseRow {
-                outcome,
-                wall: t0.elapsed(),
-            }
-        },
-        recorder,
-    );
+    let rows = run_jobs(opts.jobs, cases.len(), recorder, |i| {
+        let t0 = Instant::now();
+        let art = {
+            let _span = recorder.map(|rec| rec.span(format!("build:{}", cases[i].name), "case"));
+            (cases[i].build)(&ctx)
+        };
+        let (outcome, _) = {
+            let _span = recorder.map(|rec| rec.span(format!("verify:{}", cases[i].name), "case"));
+            run_case(&art, &run).expect("no deadline set")
+        };
+        CaseRow {
+            outcome,
+            wall: t0.elapsed(),
+        }
+    });
     PipelineReport {
         jobs: opts.jobs,
         names: cases.iter().map(|c| c.name).collect(),

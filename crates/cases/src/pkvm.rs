@@ -25,7 +25,7 @@ use std::sync::Arc;
 use islaris_asm::aarch64::{self as a64, SysReg, XReg};
 use islaris_asm::{Asm, Program};
 use islaris_bv::Bv;
-use islaris_core::run_jobs_ok;
+use islaris_core::run_jobs;
 use islaris_core::{build, BlockAnn, NoIo, Param, ProgramSpec, SpecDef, SpecTable};
 use islaris_isla::{CacheStats, IslaConfig, IslaStats, Opcode};
 use islaris_itl::Reg;
@@ -296,13 +296,12 @@ pub fn traces_with(
     IslaStats,
     CacheStats,
 ) {
-    let mut base_cfg = IslaConfig::new(ARM)
+    let base_cfg = IslaConfig::new(ARM)
         .assume_reg("PSTATE.EL", Bv::new(2, 0b10))
         .assume_reg("PSTATE.SP", Bv::new(1, 1))
         .assume_reg("PSTATE.nRW", Bv::new(1, 0))
         .assume_reg("SCTLR_EL2", Bv::zero(64));
-    base_cfg.solver.sat = ctx.sat;
-    let mut eret_cfg = IslaConfig::new(ARM)
+    let eret_cfg = IslaConfig::new(ARM)
         .assume_reg("PSTATE.EL", Bv::new(2, 0b10))
         .assume_reg("PSTATE.SP", Bv::new(1, 1))
         .assume_reg("PSTATE.nRW", Bv::new(1, 0))
@@ -313,7 +312,6 @@ pub fn traces_with(
                 Expr::eq(e.clone(), Expr::bv(64, SPSR_EL2H as u128)),
             )
         });
-    eret_cfg.solver.sat = ctx.sat;
 
     // The four patched instructions, with symbolic imm16 fields.
     // movz/movk layout: sf(1) opc(2) 100101 hw(2) imm16 Rd(5); Rd = x3.
@@ -344,7 +342,7 @@ pub fn traces_with(
         .expect("an eret in the handler");
 
     let start = std::time::Instant::now();
-    let traced = run_jobs_ok(ctx.jobs.max(1), program.instrs.len(), |i| {
+    let traced: Vec<_> = run_jobs(ctx.jobs.max(1), program.instrs.len(), None, |i| {
         let (addr, op) = program.instrs[i];
         let (cfg, opcode) = if let Some((_, expr)) = patched.iter().find(|(a, _)| *a == addr) {
             let imm = match patched_addrs.iter().position(|a| *a == addr) {
@@ -371,6 +369,8 @@ pub fn traces_with(
             .unwrap_or_else(|e| panic!("tracing {op:#010x} at {addr:#x}: {e}"));
         (addr, r)
     })
+    .into_iter()
+    .collect::<Result<_, _>>()
     .unwrap_or_else(|p| std::panic::panic_any(p.message));
     let mut map = BTreeMap::new();
     let mut stats = IslaStats::default();
@@ -429,7 +429,6 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
         protocol: Arc::new(NoIo),
         isla_stats,
         cache,
-        sat: ctx.sat,
     }
 }
 

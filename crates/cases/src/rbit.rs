@@ -92,8 +92,7 @@ pub fn build_case() -> CaseArtifacts {
 #[must_use]
 pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
     let program = program();
-    let mut cfg = IslaConfig::new(ARM);
-    cfg.solver.sat = ctx.sat;
+    let cfg = IslaConfig::new(ARM);
     let (instrs, isla_stats, cache) = trace_program_map_with(ctx, &cfg, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
@@ -117,7 +116,6 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
         protocol: Arc::new(NoIo),
         isla_stats,
         cache,
-        sat: ctx.sat,
     }
 }
 

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use islaris_asm::Program;
 use islaris_core::{
-    check_certificate_with, run_jobs, run_jobs_ok, CertCtx, ProgramSpec, Protocol, Report,
-    Verifier, VerifyError, DEADLINE_EXCEEDED,
+    check_certificate_with, run_jobs, CertCtx, ProgramSpec, Protocol, Report, Verifier,
+    VerifyError, DEADLINE_EXCEEDED,
 };
 use islaris_isla::{
     trace_opcode, CacheStats, CachedTrace, IslaConfig, IslaError, IslaStats, Opcode, TraceCache,
@@ -17,15 +17,13 @@ use islaris_obs::{
     CacheMetrics, CaseProfile, CertMetrics, EngineMetrics, IslaMetrics, QueryTable, SailMetrics,
     SessionMetrics,
 };
-use islaris_smt::{QueryCache, SatConfig};
+use islaris_smt::QueryCache;
 
-/// How a case study is built: an optional shared trace cache, a worker
-/// count for per-instruction trace-generation fan-out, and the solver
-/// feature configuration both pipeline halves run under.
+/// How a case study is built: an optional shared trace cache and a worker
+/// count for per-instruction trace-generation fan-out.
 ///
 /// The default (`CaseCtx::default()`) is the legacy shape: no cache, one
-/// worker, all solver features on — identical to calling [`trace_opcode`]
-/// per instruction.
+/// worker — identical to calling [`trace_opcode`] per instruction.
 #[derive(Default, Clone, Copy)]
 pub struct CaseCtx<'a> {
     /// Shared trace memo table; `None` traces everything cold.
@@ -33,11 +31,6 @@ pub struct CaseCtx<'a> {
     /// Workers for per-instruction fan-out (`0` = ask the OS, `1` =
     /// inline).
     pub jobs: usize,
-    /// CDCL/preprocessing feature flags for every solver the case touches
-    /// (trace generation and verification; `fig12 --sat-off FEATURE`).
-    /// Certificate replay is excluded: the checker always runs the
-    /// default configuration, as an independent trusted base.
-    pub sat: SatConfig,
 }
 
 impl<'a> CaseCtx<'a> {
@@ -47,15 +40,7 @@ impl<'a> CaseCtx<'a> {
         CaseCtx {
             cache: Some(cache),
             jobs,
-            sat: SatConfig::default(),
         }
-    }
-
-    /// The same context with the given solver feature configuration.
-    #[must_use]
-    pub fn with_sat(mut self, sat: SatConfig) -> Self {
-        self.sat = sat;
-        self
     }
 
     /// Traces one opcode through the cache if present. Returns the entry
@@ -103,9 +88,6 @@ pub struct CaseArtifacts {
     /// Cache hits/misses observed while building this case's traces
     /// (zero when built without a cache).
     pub cache: CacheStats,
-    /// Solver feature configuration the verification half runs under
-    /// (stamped from [`CaseCtx::sat`] by the builder).
-    pub sat: SatConfig,
 }
 
 /// Measurements for one Fig. 12 row.
@@ -236,13 +218,15 @@ pub fn trace_program_map_with(
     program: &Program,
 ) -> (BTreeMap<u64, Arc<Trace>>, IslaStats, CacheStats) {
     let start = Instant::now();
-    let traced = run_jobs_ok(ctx.jobs.max(1), program.instrs.len(), |i| {
+    let traced: Vec<_> = run_jobs(ctx.jobs.max(1), program.instrs.len(), None, |i| {
         let (addr, op) = program.instrs[i];
         let r = ctx
             .trace(cfg, &Opcode::Concrete(op))
             .unwrap_or_else(|e| panic!("tracing {op:#010x} at {addr:#x}: {e}"));
         (addr, r)
     })
+    .into_iter()
+    .collect::<Result<_, _>>()
     .unwrap_or_else(|p| std::panic::panic_any(p.message));
     let mut map = BTreeMap::new();
     let mut stats = IslaStats::default();
@@ -317,7 +301,6 @@ pub fn run_case(art: &CaseArtifacts, opts: &RunOpts) -> Result<(CaseOutcome, Rep
     let mut verifier = Verifier::new(art.prog_spec.clone(), art.protocol.clone());
     verifier.trace = trace;
     verifier.qcache = qcache.clone();
-    verifier.solver.sat = art.sat;
     verifier.jobs = jobs;
     verifier.deadline = deadline;
     let t0 = Instant::now();
@@ -332,7 +315,7 @@ pub fn run_case(art: &CaseArtifacts, opts: &RunOpts) -> Result<(CaseOutcome, Rep
     // Per-block certificate replays are independent; schedule them like
     // the engine blocks and merge counters in block order so profiles
     // stay byte-identical across worker counts.
-    let replays = run_jobs(jobs, report.blocks.len(), |i| {
+    let replays = run_jobs(jobs, report.blocks.len(), None, |i| {
         let block = &report.blocks[i];
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(VerifyError {

@@ -190,8 +190,7 @@ pub fn build_case() -> CaseArtifacts {
 #[must_use]
 pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
     let program = program();
-    let mut cfg = config();
-    cfg.solver.sat = ctx.sat;
+    let cfg = config();
     let (instrs, isla_stats, cache) = trace_program_map_with(ctx, &cfg, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
@@ -222,7 +221,6 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
         protocol: Arc::new(protocol()),
         isla_stats,
         cache,
-        sat: ctx.sat,
     }
 }
 

@@ -222,9 +222,9 @@ fn replay(cert: &Certificate, m: &mut CertMetrics, q: &mut QueryCtx) -> Result<(
                 let lookup = |v: Var| sorts.iter().find(|(w, _)| *w == v).map(|(_, s)| *s);
                 // A stored proof replays without CDCL search; if it fails
                 // to apply (stale or tampered), fall back to a full solve.
-                cert.proof_for(index).is_some_and(|p| {
-                    entails_via_proof(facts, goal, &lookup, &cfg, p, &mut q.metrics)
-                }) || entails(facts, goal, &lookup, &cfg, q)
+                cert.proof_for(index)
+                    .is_some_and(|p| entails_via_proof(facts, goal, &lookup, p, &mut q.metrics))
+                    || entails(facts, goal, &lookup, &cfg, q)
             }
             Obligation::Lia { facts, goal } => {
                 m.lia += 1;

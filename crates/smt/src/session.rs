@@ -79,7 +79,7 @@ impl Session {
     /// logging solves per `Unsat` answer instead.
     #[must_use]
     pub fn new(cfg: SolverConfig) -> Self {
-        let mut blaster = Blaster::with_config(cfg.sat);
+        let mut blaster = Blaster::new();
         blaster.set_proof_logging(false);
         Session {
             cfg,
@@ -288,7 +288,7 @@ impl Session {
         sorts: &dyn Fn(Var) -> Option<Sort>,
         m: &mut SolverMetrics,
     ) -> SmtResult {
-        let mut blaster = Blaster::with_config(self.cfg.sat);
+        let mut blaster = Blaster::new();
         for a in active {
             match blaster.assert_expr(a, sorts) {
                 Ok(()) => {}
@@ -387,7 +387,6 @@ impl Session {
 pub(crate) struct CacheKey {
     pub(crate) check_proofs: bool,
     pub(crate) max_conflicts: u64,
-    pub(crate) sat: crate::sat::SatConfig,
     pub(crate) text: String,
 }
 
@@ -396,7 +395,6 @@ impl CacheKey {
         CacheKey {
             check_proofs: cfg.check_proofs,
             max_conflicts: cfg.max_conflicts,
-            sat: cfg.sat,
             text,
         }
     }
@@ -560,7 +558,6 @@ impl QueryCache {
                     .find(|(k, _)| {
                         k.check_proofs == cfg.check_proofs
                             && k.max_conflicts == cfg.max_conflicts
-                            && k.sat == cfg.sat
                             && k.text == text
                     })
                     .map(|(_, e)| e.clone())

@@ -13,7 +13,7 @@ use islaris_obs::{fnv1a, CacheMetrics, QueryStats, QueryTable, SolverMetrics};
 use crate::cnf::{BlastError, Blaster};
 use crate::eval::eval_bool;
 use crate::expr::{Expr, Sort, Value, Var};
-use crate::sat::{check_rup_proof, trim_proof, RupProof, SatConfig, SatOutcome};
+use crate::sat::{check_rup_proof, trim_proof, RupProof, SatOutcome};
 use crate::session::QueryCache;
 use crate::simplify::{propagate_constants, simplify};
 
@@ -25,9 +25,6 @@ pub struct SolverConfig {
     /// Re-check `Unsat` answers by replaying the RUP proof (slower;
     /// enabled by [`SolverConfig::paranoid`] and in tests).
     pub check_proofs: bool,
-    /// Per-feature toggles for the CDCL core and the preprocessing
-    /// pipeline (default all-on); see [`SatConfig`].
-    pub sat: SatConfig,
 }
 
 impl Default for SolverConfig {
@@ -35,7 +32,6 @@ impl Default for SolverConfig {
         SolverConfig {
             max_conflicts: 2_000_000,
             check_proofs: false,
-            sat: SatConfig::default(),
         }
     }
 }
@@ -231,7 +227,6 @@ enum Preblast {
 fn preblast(
     assumptions: &[Expr],
     sorts: &dyn Fn(Var) -> Option<Sort>,
-    cfg: &SolverConfig,
     m: &mut SolverMetrics,
 ) -> Preblast {
     m.queries += 1;
@@ -247,7 +242,7 @@ fn preblast(
             None => simplified.push(s),
         }
     }
-    if cfg.sat.fold && simplified.iter().all(|a| a.sort(sorts) == Ok(Sort::Bool)) {
+    if simplified.iter().all(|a| a.sort(sorts) == Ok(Sort::Bool)) {
         // Word-level pass across facts: `x = c` definitions substitute
         // into the other facts, which then re-simplify. A rewritten fact
         // can collapse to a constant, so re-filter afterwards. Only
@@ -277,7 +272,7 @@ fn preblast(
         return Preblast::Decided(SmtResult::Sat(Model::default()));
     }
 
-    let mut blaster = Blaster::with_config(cfg.sat);
+    let mut blaster = Blaster::new();
     for a in &simplified {
         match blaster.assert_expr(a, sorts) {
             Ok(()) => {}
@@ -306,7 +301,7 @@ pub(crate) fn solve(
     cfg: &SolverConfig,
     m: &mut SolverMetrics,
 ) -> SmtResult {
-    let (mut blaster, simplified) = match preblast(assumptions, sorts, cfg, m) {
+    let (mut blaster, simplified) = match preblast(assumptions, sorts, m) {
         Preblast::Decided(r) => return r,
         Preblast::Blasted(b, s) => (b, s),
     };
@@ -468,7 +463,7 @@ pub fn entails_proof(
     let mut q: Vec<Expr> = facts.to_vec();
     q.push(Expr::not(goal.clone()));
     let mut scratch = SolverMetrics::default();
-    let mut blaster = match preblast(&q, sorts, cfg, &mut scratch) {
+    let mut blaster = match preblast(&q, sorts, &mut scratch) {
         Preblast::Decided(_) => return None,
         Preblast::Blasted(b, _) => b,
     };
@@ -495,13 +490,12 @@ pub fn entails_via_proof(
     facts: &[Expr],
     goal: &Expr,
     sorts: &dyn Fn(Var) -> Option<Sort>,
-    cfg: &SolverConfig,
     proof: &RupProof,
     m: &mut SolverMetrics,
 ) -> bool {
     let mut q: Vec<Expr> = facts.to_vec();
     q.push(Expr::not(goal.clone()));
-    match preblast(&q, sorts, cfg, m) {
+    match preblast(&q, sorts, m) {
         Preblast::Decided(r) => r.is_unsat(),
         Preblast::Blasted(blaster, _) => {
             let num_vars = blaster.sat_num_vars();

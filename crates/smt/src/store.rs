@@ -4,10 +4,10 @@
 //! one from-scratch query result — verdict, model (for `Sat`), and the
 //! effort deltas a hit replays — addressed by the *full* cache identity
 //! (rendered query text plus every verdict-relevant configuration knob:
-//! `check_proofs`, `max_conflicts`, and the SAT feature flags). The file
-//! name is the FNV-1a hash of that rendered identity; the identity is
-//! also stored inside the entry and compared on load, so collisions
-//! degrade to misses, never to wrong answers.
+//! `check_proofs`, `max_conflicts`, and the solver identity
+//! [`SAT_IDENTITY`]). The file name is the FNV-1a hash of that rendered
+//! identity; the identity is also stored inside the entry and compared
+//! on load, so collisions degrade to misses, never to wrong answers.
 //!
 //! The soundness story is layered:
 //!
@@ -37,7 +37,7 @@ use islaris_obs::store::{
 use islaris_obs::StoreMetrics;
 
 use crate::expr::{Value, Var};
-use crate::sat::SatConfig;
+use crate::sat::SAT_IDENTITY;
 use crate::session::{CacheEntry, CacheKey};
 use crate::solver::{Model, SmtResult};
 
@@ -51,8 +51,8 @@ pub struct QueryStore(SealedDir);
 /// in-memory `CacheKey`, in a stable textual form).
 pub(crate) fn key_render(key: &CacheKey) -> String {
     format!(
-        "proofs={};conflicts={};sat={:?};text={}",
-        key.check_proofs, key.max_conflicts, key.sat, key.text
+        "proofs={};conflicts={};sat={SAT_IDENTITY};text={}",
+        key.check_proofs, key.max_conflicts, key.text
     )
 }
 
@@ -75,7 +75,7 @@ impl QueryStore {
     pub(crate) fn load(&self, key: &CacheKey) -> Option<CacheEntry> {
         self.0.load(&key_render(key), |j| match key_from_json(j) {
             None => Decoded::Corrupt,
-            Some(stored) if stored != *key => Decoded::OtherKey,
+            Some((stored, sat)) if stored != *key || *sat != sat_json() => Decoded::OtherKey,
             Some(_) => entry_from_json(j).map_or(Decoded::Corrupt, Decoded::Entry),
         })
     }
@@ -89,7 +89,7 @@ impl QueryStore {
                 obj(vec![
                     ("check_proofs", Json::Bool(key.check_proofs)),
                     ("max_conflicts", u64_json(key.max_conflicts)),
-                    ("sat", sat_to_json(&key.sat)),
+                    ("sat", sat_json()),
                     ("text", Json::Str(key.text.clone())),
                 ]),
             ),
@@ -107,27 +107,20 @@ impl QueryStore {
     }
 }
 
-fn sat_to_json(s: &SatConfig) -> Json {
-    obj(vec![
-        ("vsids", Json::Bool(s.vsids)),
-        ("phase_saving", Json::Bool(s.phase_saving)),
-        ("luby_restarts", Json::Bool(s.luby_restarts)),
-        ("db_reduction", Json::Bool(s.db_reduction)),
-        ("minimize", Json::Bool(s.minimize)),
-        ("fold", Json::Bool(s.fold)),
-    ])
-}
-
-fn sat_from_json(j: &Json) -> Option<SatConfig> {
-    let field = |k: &str| j.get(k).and_then(Json::as_bool);
-    Some(SatConfig {
-        vsids: field("vsids")?,
-        phase_saving: field("phase_saving")?,
-        luby_restarts: field("luby_restarts")?,
-        db_reduction: field("db_reduction")?,
-        minimize: field("minimize")?,
-        fold: field("fold")?,
-    })
+/// The `key.sat` object of a sealed entry: the fields of
+/// [`SAT_IDENTITY`], in order, as JSON booleans.
+fn sat_json() -> Json {
+    let fields = SAT_IDENTITY
+        .split_once("{ ")
+        .and_then(|(_, rest)| rest.strip_suffix(" }"))
+        .expect("SAT_IDENTITY renders a struct");
+    obj(fields
+        .split(", ")
+        .map(|f| {
+            let (name, value) = f.split_once(": ").expect("field renders as `name: value`");
+            (name, Json::Bool(value == "true"))
+        })
+        .collect())
 }
 
 fn result_to_json(r: &SmtResult) -> Json {
@@ -180,14 +173,15 @@ fn result_from_json(j: &Json) -> Option<SmtResult> {
     }
 }
 
-fn key_from_json(j: &Json) -> Option<CacheKey> {
+/// The stored key and its `sat` object.
+fn key_from_json(j: &Json) -> Option<(CacheKey, &Json)> {
     let k = j.get("key")?;
-    Some(CacheKey {
+    let key = CacheKey {
         check_proofs: k.get("check_proofs")?.as_bool()?,
         max_conflicts: k.get("max_conflicts")?.as_u64()?,
-        sat: sat_from_json(k.get("sat")?)?,
         text: k.get("text")?.as_str()?.to_string(),
-    })
+    };
+    Some((key, k.get("sat")?))
 }
 
 fn entry_from_json(j: &Json) -> Option<CacheEntry> {
@@ -214,7 +208,6 @@ mod tests {
         CacheKey {
             check_proofs: true,
             max_conflicts: 10_000,
-            sat: SatConfig::default(),
             text: text.to_string(),
         }
     }
@@ -363,9 +356,31 @@ mod tests {
         let a = sample_key("(assert x)");
         let mut b = a.clone();
         b.check_proofs = false;
-        let mut c = a.clone();
-        c.sat = c.sat.without("vsids").unwrap();
         assert_ne!(key_render(&a), key_render(&b));
-        assert_ne!(key_render(&a), key_render(&c));
+    }
+
+    /// An entry sealed under a different solver configuration (here one
+    /// with VSIDS off) is a well-formed foreign entry: a miss that is not
+    /// evicted.
+    #[test]
+    fn foreign_sat_object_is_a_miss_without_eviction() {
+        let dir = tmp_dir("foreign-sat");
+        let store = QueryStore::open(&dir).unwrap();
+        let key = sample_key("(assert c)");
+        store.save(&key, &sample_entry(SmtResult::Unsat));
+        let path = store.path_for_render(&key_render(&key));
+        let sealed = fs::read_to_string(&path).unwrap();
+        let body = sealed.lines().nth(3).unwrap();
+        assert!(body.contains(r#""vsids":true"#));
+        let foreign = body.replace(r#""vsids":true"#, r#""vsids":false"#);
+        let payload = islaris_obs::json::parse_json(&foreign).unwrap();
+        store.0.save(&key_render(&key), &payload);
+        assert!(
+            store.load(&key).is_none(),
+            "a foreign configuration is a miss"
+        );
+        assert!(path.exists(), "a valid foreign entry is not evicted");
+        assert_eq!(store.metrics().evictions, 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

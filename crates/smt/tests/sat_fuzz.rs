@@ -1,21 +1,21 @@
-//! Differential CNF fuzzing for the CDCL core.
+//! CNF fuzzing for the CDCL core against a truth table.
 //!
-//! Random CNF formulas plus random assumption sequences are solved twice:
-//! once with a `SatConfig` under test (all features on, and each feature
-//! individually switched off) and once with the all-features-off reference
-//! solver (chronological-ish, no restarts, no reduction). Verdicts must be
-//! identical. Every `Sat` model is verified by evaluating the clause set;
-//! every `Unsat` is re-proved on a fresh proof-logging solver and the RUP
-//! refutation checked with [`check_rup_proof`]. Assumption cores must be
-//! subsets of the assumptions and themselves unsatisfiable.
+//! Random CNF formulas (at most 12 variables) plus random assumption
+//! sequences are solved by the CDCL solver, and every verdict is compared
+//! with the instance's truth table: all 2ⁿ assignments, enumerated once
+//! per instance by code that shares nothing with the solver. Every `Sat`
+//! model is verified by evaluating the clause set; every `Unsat` proof is
+//! checked with [`check_rup_proof`] and put through the trimmed-replay
+//! battery. Assumption cores must be subsets of the assumptions, have no
+//! model in the truth table, and be re-proved with a checked refutation.
 //!
 //! 256 cases per property by default (the in-tree runner honours
 //! `ISLARIS_PT_CASES`); failures print a seed replayable via
 //! `ISLARIS_PT_SEED`.
 
 use islaris_smt::sat::{
-    check_rup_proof, trim_proof, AssumptionOutcome, ClauseArena, Lit, RupProof, SatConfig,
-    SatOutcome, SatSolver,
+    check_rup_proof, trim_proof, AssumptionOutcome, ClauseArena, Lit, RupProof, SatOutcome,
+    SatSolver,
 };
 use islaris_testkit::{forall, Rng, TestResult};
 
@@ -27,7 +27,7 @@ const CASES: u32 = 256;
 struct Instance {
     num_vars: u32,
     clauses: Vec<Vec<Lit>>,
-    /// Assumption sets, replayed in order on one solver pair.
+    /// Assumption sets, replayed in order on one solver.
     queries: Vec<Vec<Lit>>,
 }
 
@@ -62,8 +62,8 @@ fn gen_instance(r: &mut Rng) -> Instance {
     }
 }
 
-fn build(cfg: SatConfig, inst: &Instance) -> SatSolver {
-    let mut s = SatSolver::with_config(cfg);
+fn build(inst: &Instance) -> SatSolver {
+    let mut s = SatSolver::new();
     for _ in 0..inst.num_vars {
         s.new_var();
     }
@@ -79,11 +79,32 @@ fn model_satisfies(clauses: &[Vec<Lit>], model: &[bool]) -> bool {
         .all(|c| c.iter().any(|l| model[l.var() as usize] == l.is_pos()))
 }
 
+/// True iff `l` holds in truth-table row `row` (bit `v` of a row is the
+/// value of variable `v`).
+fn holds(row: u32, l: &Lit) -> bool {
+    (row >> l.var() & 1 == 1) == l.is_pos()
+}
+
+/// The instance's models: every truth-table row that satisfies all
+/// clauses.
+fn truth_table(inst: &Instance) -> Vec<u32> {
+    (0..1u32 << inst.num_vars)
+        .filter(|&row| inst.clauses.iter().all(|c| c.iter().any(|l| holds(row, l))))
+        .collect()
+}
+
+/// True iff some model in `models` makes every literal of `units` true.
+fn has_model_under(models: &[u32], units: &[Lit]) -> bool {
+    models
+        .iter()
+        .any(|&row| units.iter().all(|l| holds(row, l)))
+}
+
 /// Re-proves unsatisfiability of `clauses` (+ `units`) on a fresh
-/// proof-logging reference solver and checks the RUP refutation — then
-/// puts the trimmed replay through its paces ([`checked_trimmed_replay`]).
+/// proof-logging solver and checks the RUP refutation — then puts the
+/// trimmed replay through its paces ([`checked_trimmed_replay`]).
 fn checked_unsat(num_vars: u32, clauses: &[Vec<Lit>], units: &[Lit]) -> Result<(), String> {
-    let mut s = SatSolver::with_config(SatConfig::all_off());
+    let mut s = SatSolver::new();
     for _ in 0..num_vars {
         s.new_var();
     }
@@ -172,139 +193,100 @@ fn checked_trimmed_replay(
     Ok(())
 }
 
-/// Differential run of one instance under `cfg` vs the all-off reference.
-fn run_differential(cfg: SatConfig, inst: &Instance) -> Result<(), String> {
-    // Plain solve: verdicts equal; Sat models evaluated; Unsat RUP-checked.
-    let mut test = build(cfg, inst);
-    let mut reference = build(SatConfig::all_off(), inst);
-    let t = test.solve();
-    let r = reference.solve();
-    match (&t, &r) {
-        (SatOutcome::Sat(mt), SatOutcome::Sat(mr)) => {
-            if !model_satisfies(&inst.clauses, mt) {
-                return Err(format!("{cfg:?}: test model fails a clause"));
+/// One instance: the solver's verdicts against the truth table.
+fn run_against_truth_table(inst: &Instance) -> Result<(), String> {
+    let models = truth_table(inst);
+    // Plain solve: verdict matches the table; Sat models evaluated;
+    // Unsat RUP-checked.
+    let mut s = build(inst);
+    match s.solve() {
+        SatOutcome::Sat(m) => {
+            if models.is_empty() {
+                return Err("solver says sat, truth table has no model".into());
             }
-            if !model_satisfies(&inst.clauses, mr) {
-                return Err("reference model fails a clause".into());
-            }
-        }
-        (SatOutcome::Unsat(pt), SatOutcome::Unsat(pr)) => {
-            // Both solvers log proofs by default; both must check, and
-            // both must survive the trimmed replay + tamper battery. A
-            // fresh solve's proof carries learn-time hints, and those
-            // hints must be good enough that the hinted check accepts
-            // the proof even with the search fallback disabled (the
-            // stripped variant exercises pure search instead).
-            for (who, p) in [("test", pt), ("reference", pr)] {
-                if !p.is_hinted() {
-                    return Err(format!("{cfg:?}: {who} proof left the solver unhinted"));
-                }
-                if !check_rup_proof(inst.num_vars, test.original_clauses(), p) {
-                    return Err(format!("{cfg:?}: {who} RUP proof rejected"));
-                }
-                if !check_rup_proof(inst.num_vars, test.original_clauses(), &p.strip_hints()) {
-                    return Err(format!("{cfg:?}: {who} proof rejected without hints"));
-                }
-                checked_trimmed_replay(inst.num_vars, test.original_clauses(), p)
-                    .map_err(|e| format!("{cfg:?}: {who}: {e}"))?;
+            if !model_satisfies(&inst.clauses, &m) {
+                return Err("model fails a clause".into());
             }
         }
-        _ => {
-            return Err(format!(
-                "{cfg:?}: verdict mismatch: test={} reference={}",
-                verdict(&t),
-                verdict(&r)
-            ))
+        SatOutcome::Unsat(p) => {
+            if !models.is_empty() {
+                return Err(format!(
+                    "solver says unsat, truth table has {} models",
+                    models.len()
+                ));
+            }
+            // A fresh solve's proof carries learn-time hints, and those
+            // hints must be good enough that the hinted check accepts the
+            // proof; the stripped variant exercises pure search instead.
+            if !p.is_hinted() {
+                return Err("proof left the solver unhinted".into());
+            }
+            if !check_rup_proof(inst.num_vars, s.original_clauses(), &p) {
+                return Err("RUP proof rejected".into());
+            }
+            if !check_rup_proof(inst.num_vars, s.original_clauses(), &p.strip_hints()) {
+                return Err("proof rejected without hints".into());
+            }
+            checked_trimmed_replay(inst.num_vars, s.original_clauses(), &p)?;
         }
     }
 
-    // Assumption sequence on one incremental solver pair: the clause
-    // database (including learned clauses) persists across queries.
-    let mut test = build(cfg, inst);
-    let mut reference = build(SatConfig::all_off(), inst);
+    // Assumption sequence on one incremental solver: the clause database
+    // (including learned clauses) persists across queries.
+    let mut s = build(inst);
     for assumptions in &inst.queries {
-        let t = test
+        let expected = has_model_under(&models, assumptions);
+        match s
             .solve_with_assumptions(assumptions, u64::MAX)
-            .expect("unlimited solve completes");
-        let r = reference
-            .solve_with_assumptions(assumptions, u64::MAX)
-            .expect("unlimited solve completes");
-        match (&t, &r) {
-            (AssumptionOutcome::Sat(mt), AssumptionOutcome::Sat(mr)) => {
-                for (who, m) in [("test", mt), ("reference", mr)] {
-                    if !model_satisfies(&inst.clauses, m) {
-                        return Err(format!("{cfg:?}: {who} assumption model fails a clause"));
-                    }
-                    if !assumptions
-                        .iter()
-                        .all(|a| m[a.var() as usize] == a.is_pos())
-                    {
-                        return Err(format!("{cfg:?}: {who} model violates an assumption"));
-                    }
+            .expect("unlimited solve completes")
+        {
+            AssumptionOutcome::Sat(m) => {
+                if !expected {
+                    return Err(format!(
+                        "sat under {assumptions:?}, truth table has no model"
+                    ));
+                }
+                if !model_satisfies(&inst.clauses, &m) {
+                    return Err("assumption model fails a clause".into());
+                }
+                if !assumptions
+                    .iter()
+                    .all(|a| m[a.var() as usize] == a.is_pos())
+                {
+                    return Err("model violates an assumption".into());
                 }
             }
-            (AssumptionOutcome::Unsat(ct), AssumptionOutcome::Unsat(cr)) => {
-                for (who, core) in [("test", ct), ("reference", cr)] {
-                    if !core.iter().all(|l| assumptions.contains(l)) {
-                        return Err(format!(
-                            "{cfg:?}: {who} final conflict is not a subset of the assumptions"
-                        ));
-                    }
-                    // The core already suffices: original clauses + core
-                    // units must be unsatisfiable, with a checked proof.
-                    checked_unsat(inst.num_vars, &inst.clauses, core)
-                        .map_err(|e| format!("{cfg:?}: {who} core: {e}"))?;
+            AssumptionOutcome::Unsat(core) => {
+                if expected {
+                    return Err(format!(
+                        "unsat under {assumptions:?}, truth table has a model"
+                    ));
                 }
-            }
-            _ => {
-                return Err(format!(
-                    "{cfg:?}: assumption verdict mismatch under {assumptions:?}"
-                ))
+                if !core.iter().all(|l| assumptions.contains(l)) {
+                    return Err("final conflict is not a subset of the assumptions".into());
+                }
+                // The core already suffices: original clauses + core
+                // units have no model, and a re-proof checks.
+                if has_model_under(&models, &core) {
+                    return Err(format!("core {core:?} has a model in the truth table"));
+                }
+                checked_unsat(inst.num_vars, &inst.clauses, &core)
+                    .map_err(|e| format!("core: {e}"))?;
             }
         }
     }
     Ok(())
 }
 
-fn verdict(o: &SatOutcome) -> &'static str {
-    match o {
-        SatOutcome::Sat(_) => "sat",
-        SatOutcome::Unsat(_) => "unsat",
-    }
-}
-
-/// All features on vs the all-off reference.
 #[test]
-fn fuzz_all_features_on_matches_reference() {
+fn fuzz_verdicts_match_truth_table() {
     forall(
-        "fuzz_all_features_on_matches_reference",
+        "fuzz_verdicts_match_truth_table",
         CASES,
         gen_instance,
-        |inst| match run_differential(SatConfig::all_on(), inst) {
+        |inst| match run_against_truth_table(inst) {
             Ok(()) => TestResult::Pass,
             Err(e) => TestResult::Fail(e),
-        },
-    );
-}
-
-/// Each feature individually off (isolating the remaining set) vs the
-/// reference — pinpoints which heuristic breaks when one does.
-#[test]
-fn fuzz_each_single_feature_off_matches_reference() {
-    forall(
-        "fuzz_each_single_feature_off_matches_reference",
-        CASES,
-        gen_instance,
-        |inst| {
-            for feature in SatConfig::FEATURES {
-                let cfg = SatConfig::all_on()
-                    .without(feature)
-                    .expect("FEATURES entries are valid");
-                if let Err(e) = run_differential(cfg, inst) {
-                    return TestResult::Fail(format!("feature off: {feature}: {e}"));
-                }
-            }
-            TestResult::Pass
         },
     );
 }
