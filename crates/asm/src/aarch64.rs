@@ -1,8 +1,8 @@
 //! AArch64 encoder for the case-study instruction subset.
 //!
 //! Encodings match the Arm ARM (and the mini-Sail model's decode): the
-//! round-trip property "assemble, then run through the model" is tested in
-//! `islaris-transval`.
+//! round-trip property "assemble, then run through the model" is tested by
+//! the translation validation in `islaris-difftest`.
 
 use crate::ir::{cond_name, AsmError};
 

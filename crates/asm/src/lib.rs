@@ -4,7 +4,8 @@
 //! The paper verifies *machine code* — opcodes in memory — produced by GCC,
 //! Clang, and hand-written assembly. This crate produces the same opcodes
 //! for the reproduced case studies; the round trip through the mini-Sail
-//! models is exercised by `islaris-transval`.
+//! models is exercised by the translation validation in `islaris-difftest`
+//! (`Oracle::check_program`).
 //!
 //! # Examples
 //!

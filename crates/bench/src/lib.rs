@@ -28,6 +28,8 @@ use islaris_cases::{
 use islaris_core::{check_certificate, Verifier};
 use islaris_isla::{trace_opcode, IslaConfig, Opcode};
 use islaris_models::ARM;
+use islaris_obs::json::obj;
+use islaris_obs::store::u64_json;
 use islaris_obs::{parse_json, Json, QueryTable};
 use islaris_smt::{entails, BvCmp, Expr, QueryCache, QueryCtx, SolverConfig, Sort, Var};
 
@@ -379,58 +381,39 @@ impl BenchEnv {
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serialises a bench run as the versioned [`BENCH_SCHEMA`] JSON document
 /// (DESIGN.md §9). The output always passes [`parse_json`] and
 /// round-trips through [`parse_bench_json`].
 #[must_use]
 pub fn samples_to_json(env: &BenchEnv, samples: &[Sample]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"{}\",\"env\":{{\"nproc\":{},\"opt_level\":\"{}\",\"git_rev\":\"{}\",\
-         \"iters\":{},\"warmup\":{}}},\"samples\":[",
-        BENCH_SCHEMA,
-        env.nproc,
-        esc(&env.opt_level),
-        esc(&env.git_rev),
-        env.iters,
-        env.warmup
-    );
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"iters\":{},\"warmup\":{},\"min_ns\":{},\"median_ns\":{},\
-             \"p90_ns\":{},\"max_ns\":{},\"mad_ns\":{}}}",
-            esc(&s.name),
-            s.iters,
-            s.warmup,
-            s.min_ns,
-            s.median_ns,
-            s.p90_ns,
-            s.max_ns,
-            s.mad_ns
-        );
-    }
-    out.push_str("]}");
-    debug_assert!(parse_json(&out).is_ok());
-    out
+    let env = obj(vec![
+        ("nproc", u64_json(env.nproc)),
+        ("opt_level", Json::Str(env.opt_level.clone())),
+        ("git_rev", Json::Str(env.git_rev.clone())),
+        ("iters", u64_json(env.iters)),
+        ("warmup", u64_json(env.warmup)),
+    ]);
+    let samples = samples
+        .iter()
+        .map(|s| {
+            obj(vec![
+                ("name", Json::Str(s.name.clone())),
+                ("iters", u64_json(s.iters)),
+                ("warmup", u64_json(s.warmup)),
+                ("min_ns", u64_json(s.min_ns)),
+                ("median_ns", u64_json(s.median_ns)),
+                ("p90_ns", u64_json(s.p90_ns)),
+                ("max_ns", u64_json(s.max_ns)),
+                ("mad_ns", u64_json(s.mad_ns)),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("schema", Json::Str(BENCH_SCHEMA.into())),
+        ("env", env),
+        ("samples", Json::Arr(samples)),
+    ])
+    .render()
 }
 
 fn field_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
@@ -660,6 +643,24 @@ mod tests {
         let (env2, samples2) = parse_bench_json(&text).expect("export must parse");
         assert_eq!(env, env2);
         assert_eq!(samples, samples2);
+    }
+
+    #[test]
+    fn committed_bench_exports_rerender_byte_for_byte() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(root).expect("workspace root") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable");
+            let (env, samples) = parse_bench_json(&text).expect("committed export parses");
+            assert_eq!(samples_to_json(&env, &samples), text, "{name}");
+            seen += 1;
+        }
+        assert!(seen > 0, "no committed BENCH_*.json found");
     }
 
     #[test]

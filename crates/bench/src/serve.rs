@@ -1065,15 +1065,15 @@ fn run_job(
 
 /// Strips the two documented schedule-dependent profile rows (`cache`,
 /// `q.cache`) so response bodies are byte-identical across cache states.
-fn stripped_profile(profile_json: &str) -> Json {
-    match parse_json(profile_json) {
-        Ok(Json::Obj(fields)) => Json::Obj(
+fn stripped_profile(profile: Json) -> Json {
+    match profile {
+        Json::Obj(fields) => Json::Obj(
             fields
                 .into_iter()
                 .filter(|(k, _)| k != "cache" && k != "q.cache")
                 .collect(),
         ),
-        _ => Json::Null,
+        other => other,
     }
 }
 
@@ -1120,7 +1120,7 @@ fn run_case_job(
         .iter()
         .map(|b| Json::Str(render_certificate(&b.cert)))
         .collect();
-    let profile = stripped_profile(&outcome.profile.to_json(slug));
+    let profile = stripped_profile(outcome.profile.to_json(slug));
     let body = obj(vec![
         ("kind", Json::Str("case".into())),
         ("slug", Json::Str(slug.to_string())),

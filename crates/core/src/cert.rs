@@ -21,7 +21,7 @@
 //! they can be committed as golden files and replayed from disk.
 
 use islaris_itl::sexp::{expr_to_sexp, parse_sexp, sexp_to_expr, ParseError, Sexp};
-use islaris_obs::{fnv1a, CertMetrics, QueryTable};
+use islaris_obs::{CertMetrics, Fnv1a, QueryTable};
 use islaris_smt::lia::{implies, IVar, LinAtom, LinTerm};
 use islaris_smt::sat::Lit;
 use islaris_smt::{
@@ -114,12 +114,12 @@ impl Certificate {
 /// sequence, separated by newlines.
 #[must_use]
 pub fn obligations_digest(obligations: &[Obligation]) -> u64 {
-    let mut buf = String::new();
+    use std::fmt::Write;
+    let mut h = Fnv1a::default();
     for ob in obligations {
-        buf.push_str(&format!("{ob:?}"));
-        buf.push('\n');
+        let _ = writeln!(h, "{ob:?}");
     }
-    fnv1a(buf.as_bytes())
+    h.finish()
 }
 
 /// Sentinel index for failures that are not tied to one obligation

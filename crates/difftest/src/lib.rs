@@ -27,6 +27,12 @@
 //! printed seed: no wall clock, no OS randomness, and output
 //! byte-identical across `--jobs` values.
 //!
+//! The same [`Oracle`] performs the paper's §5 translation validation:
+//! [`Oracle::check_state`] runs the ITL trace and the model from one
+//! concrete state and compares the results, and [`Oracle::check_program`]
+//! sweeps it over seeded random states for every instruction of a
+//! binary.
+//!
 //! The oracle is *outside* the certificate TCB — a divergence does not
 //! invalidate any particular certificate, it flags semantic drift
 //! between model and executor that the proof pipeline builds on.

@@ -27,7 +27,9 @@ pub mod metrics;
 pub mod store;
 pub mod trace;
 
+use json::obj;
 pub use json::{parse_json, Json};
+use store::{solver_metrics_to_json, u64_json};
 
 // ---------------------------------------------------------------------------
 // Counters
@@ -496,69 +498,66 @@ impl CaseProfile {
     /// vocabulary with `BENCH.json` — see DESIGN §9), so text and JSON
     /// exports can be cross-checked field by field.
     #[must_use]
-    pub fn to_json(&self, case: &str) -> String {
-        let kv = |pairs: &[(&str, u64)]| {
-            let body: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-            format!("{{{}}}", body.join(","))
-        };
-        let solver = |m: &SolverMetrics| {
-            kv(&[
-                ("queries", m.queries),
-                ("sat", m.sat),
-                ("unsat", m.unsat),
-                ("unknown", m.unknown),
-                ("model_verifies", m.model_verifies),
-                ("cnf_vars", m.cnf_vars),
-                ("cnf_clauses", m.cnf_clauses),
-                ("propagations", m.propagations),
-                ("decisions", m.decisions),
-                ("conflicts", m.conflicts),
-                ("restarts", m.restarts),
-                ("reduced", m.reduced),
-                ("minimized", m.minimized),
-                ("folded", m.folded),
-                ("trimmed", m.trimmed),
-            ])
-        };
-        format!(
-            "{{\"case\":\"{}\",\"sail\":{},\"isla\":{},\"isla.smt\":{},\"engine\":{},\
-             \"eng.smt\":{},\"sess\":{},\"cert\":{},\"cert.smt\":{},\"cache\":{},\
-             \"q.cache\":{}}}",
-            escape_json(case),
-            kv(&[("steps", self.sail.steps), ("calls", self.sail.calls)]),
-            kv(&[
-                ("runs", self.isla.runs),
-                ("branches_explored", self.isla.branches_explored),
-                ("branches_pruned", self.isla.branches_pruned),
-                ("smt_queries", self.isla.smt_queries),
-                ("events", self.isla.events),
-            ]),
-            solver(&self.isla_smt),
-            kv(&[
-                ("events", self.engine.events),
-                ("instructions", self.engine.instructions),
-                ("smt_queries", self.engine.smt_queries),
-                ("lia_queries", self.engine.lia_queries),
-                ("obligations", self.engine.obligations),
-                ("vacuous_branches", self.engine.vacuous_branches),
-                ("blocks_parallel", self.engine.blocks_parallel),
-            ]),
-            solver(&self.engine_smt),
-            kv(&[
-                ("facts_encoded", self.session.facts_encoded),
-                ("clauses_retained", self.session.clauses_retained),
-                ("assumption_solves", self.session.assumption_solves),
-                ("fallback_solves", self.session.fallback_solves),
-            ]),
-            kv(&[
-                ("replayed", self.cert.replayed),
-                ("bv", self.cert.bv),
-                ("lia", self.cert.lia),
-            ]),
-            solver(&self.cert.solver),
-            kv(&[("hits", self.cache.hits), ("misses", self.cache.misses)]),
-            kv(&[("hits", self.qcache.hits), ("misses", self.qcache.misses)]),
-        )
+    pub fn to_json(&self, case: &str) -> Json {
+        let kv =
+            |pairs: &[(&str, u64)]| obj(pairs.iter().map(|&(k, v)| (k, u64_json(v))).collect());
+        obj(vec![
+            ("case", Json::Str(case.to_string())),
+            (
+                "sail",
+                kv(&[("steps", self.sail.steps), ("calls", self.sail.calls)]),
+            ),
+            (
+                "isla",
+                kv(&[
+                    ("runs", self.isla.runs),
+                    ("branches_explored", self.isla.branches_explored),
+                    ("branches_pruned", self.isla.branches_pruned),
+                    ("smt_queries", self.isla.smt_queries),
+                    ("events", self.isla.events),
+                ]),
+            ),
+            ("isla.smt", solver_metrics_to_json(&self.isla_smt)),
+            (
+                "engine",
+                kv(&[
+                    ("events", self.engine.events),
+                    ("instructions", self.engine.instructions),
+                    ("smt_queries", self.engine.smt_queries),
+                    ("lia_queries", self.engine.lia_queries),
+                    ("obligations", self.engine.obligations),
+                    ("vacuous_branches", self.engine.vacuous_branches),
+                    ("blocks_parallel", self.engine.blocks_parallel),
+                ]),
+            ),
+            ("eng.smt", solver_metrics_to_json(&self.engine_smt)),
+            (
+                "sess",
+                kv(&[
+                    ("facts_encoded", self.session.facts_encoded),
+                    ("clauses_retained", self.session.clauses_retained),
+                    ("assumption_solves", self.session.assumption_solves),
+                    ("fallback_solves", self.session.fallback_solves),
+                ]),
+            ),
+            (
+                "cert",
+                kv(&[
+                    ("replayed", self.cert.replayed),
+                    ("bv", self.cert.bv),
+                    ("lia", self.cert.lia),
+                ]),
+            ),
+            ("cert.smt", solver_metrics_to_json(&self.cert.solver)),
+            (
+                "cache",
+                kv(&[("hits", self.cache.hits), ("misses", self.cache.misses)]),
+            ),
+            (
+                "q.cache",
+                kv(&[("hits", self.qcache.hits), ("misses", self.qcache.misses)]),
+            ),
+        ])
     }
 }
 
@@ -566,8 +565,7 @@ impl CaseProfile {
 /// sibling of [`render_profiles`]).
 #[must_use]
 pub fn profiles_to_json(cases: &[(String, CaseProfile)]) -> String {
-    let items: Vec<String> = cases.iter().map(|(name, p)| p.to_json(name)).collect();
-    format!("[{}]", items.join(","))
+    Json::Arr(cases.iter().map(|(name, p)| p.to_json(name)).collect()).render()
 }
 
 /// Renders the whole profile table (one [`CaseProfile::render`] block per
@@ -901,35 +899,35 @@ impl Recorder {
     /// / Perfetto "JSON Array with metadata" format, complete `X` events).
     #[must_use]
     pub fn chrome_trace(&self) -> String {
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":{}}}",
-            chrome_trace_events(&self.spans())
-        )
+        obj(vec![
+            ("displayTimeUnit", Json::Str("ms".into())),
+            ("traceEvents", chrome_trace_events(&self.spans())),
+        ])
+        .render()
     }
 }
 
-/// Renders spans as a Chrome trace-event JSON *array* (complete `X`
-/// events, pid 1) — the shared core of [`Recorder::chrome_trace`] and
-/// the per-request export in [`trace`].
+/// Spans as a Chrome trace-event array (complete `X` events, pid 1) —
+/// the shared core of [`Recorder::chrome_trace`] and the per-request
+/// export in [`trace`].
 #[must_use]
-pub fn chrome_trace_events(spans: &[SpanRecord]) -> String {
-    let mut s = String::from("[");
-    for (i, sp) in spans.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{}}}",
-            escape_json(&sp.name),
-            escape_json(sp.cat),
-            sp.ts_us,
-            sp.dur_us,
-            sp.tid
-        ));
-    }
-    s.push(']');
-    s
+pub fn chrome_trace_events(spans: &[SpanRecord]) -> Json {
+    Json::Arr(
+        spans
+            .iter()
+            .map(|sp| {
+                obj(vec![
+                    ("name", Json::Str(sp.name.clone())),
+                    ("cat", Json::Str(sp.cat.to_string())),
+                    ("ph", Json::Str("X".into())),
+                    ("ts", u64_json(sp.ts_us)),
+                    ("dur", u64_json(sp.dur_us)),
+                    ("pid", Json::Num(1.0)),
+                    ("tid", Json::Num(f64::from(sp.tid))),
+                ])
+            })
+            .collect(),
+    )
 }
 
 impl SpanSink for Recorder {
@@ -984,22 +982,6 @@ fn current_tid() -> u32 {
         .unwrap_or(0)
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Hashing (certificate digests)
 // ---------------------------------------------------------------------------
@@ -1009,12 +991,43 @@ fn escape_json(s: &str) -> String {
 /// not tamper *proofing*; the semantic re-check is the real gate).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a`]: a [`std::fmt::Write`] sink, so formatted text
+/// hashes without being collected into a `String` first.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Hashes `bytes` after everything written so far.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1153,6 +1166,10 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        // The streaming sink hashes the same bytes however they arrive.
+        let mut h = Fnv1a::default();
+        std::fmt::Write::write_fmt(&mut h, format_args!("fo{}{}", 'o', "bar")).unwrap();
+        assert_eq!(h.finish(), 0x85944171f73967e8);
     }
 
     #[test]
@@ -1305,8 +1322,7 @@ mod tests {
         };
 
         let text = p.render("hvc (Arm)");
-        let json = p.to_json("hvc (Arm)");
-        let parsed = parse_json(&json).expect("profile JSON parses");
+        let parsed = parse_json(&p.to_json("hvc (Arm)").render()).expect("profile JSON parses");
         assert_eq!(parsed.get("case").and_then(Json::as_str), Some("hvc (Arm)"));
 
         // Every `k=v` pair the text rendering prints must appear in the

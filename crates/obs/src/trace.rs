@@ -153,11 +153,12 @@ pub fn chrome_trace_for(rec: &TraceRecord) -> String {
     if let Some(p) = &rec.profile {
         other.push(("profile", p.clone()));
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{},\"traceEvents\":{}}}",
-        obj(other).render(),
-        chrome_trace_events(&rec.spans)
-    )
+    obj(vec![
+        ("displayTimeUnit", Json::Str("ms".into())),
+        ("otherData", obj(other)),
+        ("traceEvents", chrome_trace_events(&rec.spans)),
+    ])
+    .render()
 }
 
 #[cfg(test)]

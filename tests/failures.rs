@@ -8,10 +8,11 @@ use std::sync::Arc;
 use islaris::logic::{check_certificate, BlockAnn, Certificate, NoIo, Obligation, Verifier};
 use islaris_bv::Bv;
 use islaris_cases::{memcpy_arm, uart};
+use islaris_difftest::Oracle;
 use islaris_isla::{trace_opcode, IslaConfig, Opcode};
 use islaris_models::ARM;
 use islaris_smt::{Expr, Sort, Var};
-use islaris_transval::{random_state, validate_instr, SweepOptions, XorShift};
+use islaris_testkit::Rng;
 
 /// memcpy with a corrupted loop invariant (strict bound replaced by a
 /// wrong constant) must fail.
@@ -77,10 +78,9 @@ fn mutated_trace_fails_translation_validation() {
     let mutated =
         islaris_itl::print_trace(&good.trace).replace("#x0000000000000040", "#x0000000000000080");
     let bad = islaris_itl::parse_trace(&mutated).expect("parses");
-    let opts = SweepOptions::default();
-    let mut rng = XorShift(42);
-    let (state, mem) = random_state(&ARM, &cfg, &mut rng, &opts);
-    assert!(validate_instr(&ARM, 0x910103ff, &bad, &state, &mem).is_err());
+    let oracle = Oracle::shipped(ARM);
+    let (state, mem) = oracle.random_state(&cfg, &mut Rng::new(42)).expect("state");
+    assert!(oracle.check_state(0x910103ff, &bad, &state, &mem).is_err());
 }
 
 /// Certificates are not decorative: adding a false obligation breaks the
@@ -388,11 +388,10 @@ fn mutated_trace_family_fails_transval() {
         let mutated = printed.replace(needle, replacement);
         let bad = islaris_itl::parse_trace(&mutated)
             .unwrap_or_else(|e| panic!("{label}: mutant must still parse: {e}"));
-        let opts = SweepOptions::default();
-        let mut rng = XorShift(42);
-        let (state, mem) = random_state(&ARM, &cfg, &mut rng, &opts);
+        let oracle = Oracle::shipped(ARM);
+        let (state, mem) = oracle.random_state(&cfg, &mut Rng::new(42)).expect("state");
         assert!(
-            validate_instr(&ARM, 0x910103ff, &bad, &state, &mem).is_err(),
+            oracle.check_state(0x910103ff, &bad, &state, &mem).is_err(),
             "{label}: corrupted trace passed translation validation"
         );
     }

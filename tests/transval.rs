@@ -5,20 +5,24 @@
 
 use islaris_bv::Bv;
 use islaris_cases::{memcpy_arm, memcpy_riscv};
+use islaris_difftest::Oracle;
 use islaris_isla::IslaConfig;
 use islaris_models::{ARM, RISCV};
-use islaris_transval::{validate_program, SweepOptions};
+
+fn arm_el2_cfg() -> IslaConfig {
+    IslaConfig::new(ARM)
+        .assume_reg("PSTATE.EL", Bv::new(2, 2))
+        .assume_reg("PSTATE.SP", Bv::new(1, 1))
+        .assume_reg("SCTLR_EL2", Bv::zero(64))
+}
 
 /// The paper's §5 evaluation: all instructions of the RISC-V memcpy.
 #[test]
 fn riscv_memcpy_binary_validates() {
     let program = memcpy_riscv::program();
-    let cfg = IslaConfig::new(RISCV);
-    let opts = SweepOptions {
-        random_states: 16,
-        ..SweepOptions::default()
-    };
-    let checks = validate_program(&RISCV, &cfg, &program.instrs, &opts).expect("validates");
+    let checks = Oracle::shipped(RISCV)
+        .check_program(&IslaConfig::new(RISCV), &program.instrs, 16)
+        .expect("validates");
     assert_eq!(checks, 16 * program.len() as u64);
 }
 
@@ -27,15 +31,9 @@ fn riscv_memcpy_binary_validates() {
 #[test]
 fn arm_memcpy_binary_validates() {
     let program = memcpy_arm::program();
-    let cfg = IslaConfig::new(ARM)
-        .assume_reg("PSTATE.EL", Bv::new(2, 2))
-        .assume_reg("PSTATE.SP", Bv::new(1, 1))
-        .assume_reg("SCTLR_EL2", Bv::zero(64));
-    let opts = SweepOptions {
-        random_states: 16,
-        ..SweepOptions::default()
-    };
-    let checks = validate_program(&ARM, &cfg, &program.instrs, &opts).expect("validates");
+    let checks = Oracle::shipped(ARM)
+        .check_program(&arm_el2_cfg(), &program.instrs, 16)
+        .expect("validates");
     assert_eq!(checks, 16 * program.len() as u64);
 }
 
@@ -44,15 +42,12 @@ fn arm_memcpy_binary_validates() {
 #[test]
 fn binsearch_binaries_validate() {
     let rv = islaris_cases::binsearch_riscv::program();
-    let cfg = IslaConfig::new(RISCV);
-    validate_program(&RISCV, &cfg, &rv.instrs, &SweepOptions::default())
+    Oracle::shipped(RISCV)
+        .check_program(&IslaConfig::new(RISCV), &rv.instrs, 8)
         .expect("RISC-V binsearch validates");
 
     let arm = islaris_cases::binsearch_arm::program();
-    let cfg = IslaConfig::new(ARM)
-        .assume_reg("PSTATE.EL", Bv::new(2, 2))
-        .assume_reg("PSTATE.SP", Bv::new(1, 1))
-        .assume_reg("SCTLR_EL2", Bv::zero(64));
-    validate_program(&ARM, &cfg, &arm.instrs, &SweepOptions::default())
+    Oracle::shipped(ARM)
+        .check_program(&arm_el2_cfg(), &arm.instrs, 8)
         .expect("Arm binsearch validates");
 }
