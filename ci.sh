@@ -145,6 +145,13 @@ serve_up
 cargo run --release -q --offline -p islaris-bench --bin fig12 -- \
     --replay "$profile_out/reqs.json" --addr "$addr" --clients 4 \
     --dump "$profile_out/cold" > "$profile_out/cold.txt"
+# No transport stall: each message is one write on a nodelay socket at
+# both ends. With split writes and Nagle on, this median was ~88 ms.
+cold_median=$(tail -n 1 "$profile_out/cold.txt" | grep -o '"median":[0-9]*' | cut -d: -f2)
+[ -n "$cold_median" ] || { echo "cold replay telemetry has no median"; exit 1; }
+echo "cold replay median: ${cold_median}ns"
+[ "$cold_median" -lt 20000000 ] \
+    || { echo "cold replay median ${cold_median}ns is not under 20 ms"; exit 1; }
 cargo run --release -q --offline -p islaris-bench --bin fig12 -- \
     --replay "$profile_out/stats_shutdown.json" --addr "$addr" > /dev/null
 wait "$serve_pid" || { echo "server exited nonzero after cold run"; exit 1; }

@@ -224,6 +224,9 @@ fn client_loop(
     clients: usize,
 ) -> io::Result<Vec<ReplayResult>> {
     let stream = TcpStream::connect(addr)?;
+    // Each request is one write (`write_request`): nodelay sends it at
+    // once instead of waiting on the server's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut out = Vec::new();
@@ -306,6 +309,7 @@ impl ReplayOutcome {
 /// the parser rejects.
 pub fn scrape_metrics(addr: &str) -> io::Result<BTreeMap<String, u64>> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     write_request(&mut writer, "GET", "/metrics", &[], b"")?;

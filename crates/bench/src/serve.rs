@@ -563,10 +563,18 @@ fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Per-call read and write timeout on an accepted socket.
+const CONN_IO_TIMEOUT: Duration = Duration::from_secs(60);
+
 fn handle_conn(stream: TcpStream, state: &Arc<ServerState>) {
-    // A parked keep-alive connection must not pin a thread forever after
-    // shutdown; the timeout only bounds idle waits, not request handling.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
+    // A parked keep-alive connection, or a peer that stops reading a
+    // large body, must not pin a thread forever; the timeouts bound each
+    // blocking read or write, not request handling. Every response is
+    // one write (`write_response`), so nodelay sends it at once instead
+    // of waiting on the peer's delayed ACK.
+    let _ = stream.set_read_timeout(Some(CONN_IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(CONN_IO_TIMEOUT));
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -850,68 +858,72 @@ fn verify(state: &Arc<ServerState>, body: &[u8], rt: &ReqTrace) -> Result<String
     let (id, seq) = (rt.id, rt.seq);
     let job_label = label.clone();
     let enqueued_at = Instant::now();
-    let submitted =
-        state
-            .pool
-            .try_submit(deadline, Some(Arc::clone(&rt.recorder)), move |expired| {
-                job_state.metrics.stages.inc("dequeue");
-                let queue_wait = elapsed_ns(enqueued_at);
-                job_state.metrics.queue_wait_ns.observe(queue_wait);
+    let submitted = state.pool.try_submit(
+        deadline,
+        Some(Arc::clone(&rt.recorder)),
+        move |expired, claim| {
+            job_state.metrics.stages.inc("dequeue");
+            let queue_wait = elapsed_ns(enqueued_at);
+            job_state.metrics.queue_wait_ns.observe(queue_wait);
+            job_state.log_event(
+                "dequeue",
+                Some((id, seq)),
+                vec![
+                    ("expired", Json::Bool(expired)),
+                    ("queue_wait_wall_ns", u64_json(queue_wait)),
+                ],
+            );
+            let result = if expired {
+                Err(deadline_exceeded())
+            } else {
+                job_state.metrics.stages.inc("execute");
+                let t_exec = Instant::now();
+                let r = catch_unwind(AssertUnwindSafe(|| run_job(&job_state, &job, deadline)))
+                    .unwrap_or_else(|_| {
+                        Err(ApiError::new(
+                            500,
+                            "internal",
+                            "job panicked; worker recovered",
+                        ))
+                    });
+                let exec_ns = elapsed_ns(t_exec);
+                job_state.metrics.exec_ns.observe(exec_ns);
+                match job.kind() {
+                    "case" => job_state.metrics.exec_case_ns.observe(exec_ns),
+                    "trace" => job_state.metrics.exec_trace_ns.observe(exec_ns),
+                    _ => job_state.metrics.exec_check_ns.observe(exec_ns),
+                }
+                recorder.record_between("exec", "pool", t_exec, Instant::now());
                 job_state.log_event(
-                    "dequeue",
+                    "execute",
                     Some((id, seq)),
                     vec![
-                        ("expired", Json::Bool(expired)),
-                        ("queue_wait_wall_ns", u64_json(queue_wait)),
+                        ("ok", Json::Bool(r.is_ok())),
+                        ("exec_wall_ns", u64_json(exec_ns)),
                     ],
                 );
-                let result = if expired {
-                    Err(deadline_exceeded())
-                } else {
-                    job_state.metrics.stages.inc("execute");
-                    let t_exec = Instant::now();
-                    let r = catch_unwind(AssertUnwindSafe(|| run_job(&job_state, &job, deadline)))
-                        .unwrap_or_else(|_| {
-                            Err(ApiError::new(
-                                500,
-                                "internal",
-                                "job panicked; worker recovered",
-                            ))
-                        });
-                    let exec_ns = elapsed_ns(t_exec);
-                    job_state.metrics.exec_ns.observe(exec_ns);
-                    match job.kind() {
-                        "case" => job_state.metrics.exec_case_ns.observe(exec_ns),
-                        "trace" => job_state.metrics.exec_trace_ns.observe(exec_ns),
-                        _ => job_state.metrics.exec_check_ns.observe(exec_ns),
-                    }
-                    recorder.record_between("exec", "pool", t_exec, Instant::now());
-                    job_state.log_event(
-                        "execute",
-                        Some((id, seq)),
-                        vec![
-                            ("ok", Json::Bool(r.is_ok())),
-                            ("exec_wall_ns", u64_json(exec_ns)),
-                        ],
-                    );
-                    r
-                };
-                // Journal before filling the slot so a reader woken by the
-                // answer always finds the complete record.
-                let (status, profile) = match &result {
-                    Ok(out) => (200, out.profile.clone()),
-                    Err(api) => (api.status, None),
-                };
-                job_state.journal.push(TraceRecord {
-                    trace_id: id,
-                    seq,
-                    label: job_label,
-                    status,
-                    spans: recorder.spans(),
-                    profile,
-                });
-                job_slot.fill(result.map(|out| out.body));
+                r
+            };
+            // Journal and retire from the in-flight count before
+            // filling the slot, so a reader woken by the answer always
+            // finds the complete record and never counts this job as
+            // still running.
+            let (status, profile) = match &result {
+                Ok(out) => (200, out.profile.clone()),
+                Err(api) => (api.status, None),
+            };
+            job_state.journal.push(TraceRecord {
+                trace_id: id,
+                seq,
+                label: job_label,
+                status,
+                spans: recorder.spans(),
+                profile,
             });
+            drop(claim);
+            job_slot.fill(result.map(|out| out.body));
+        },
+    );
     match submitted {
         Ok(()) => {
             state.metrics.stages.inc("enqueue");
@@ -1077,6 +1089,18 @@ fn stripped_profile(profile: Json) -> Json {
     }
 }
 
+/// Intra-case fan-out width for a case job on one of `workers` pool
+/// workers while `in_flight` jobs run, this one included: the idle
+/// workers plus the calling one, so a lone request on an idle pool uses
+/// every worker and a busy pool runs each case at width 1. A fixed
+/// width of `workers` would oversubscribe the cores under concurrent
+/// case jobs and spread their allocations over more malloc arenas,
+/// raising peak RSS. `in_flight` is read without a lock and other jobs
+/// come and go meanwhile, so the result is clamped to `1..=workers`.
+fn fanout_width(workers: usize, in_flight: usize) -> usize {
+    (workers + 1).saturating_sub(in_flight).min(workers).max(1)
+}
+
 fn run_case_job(
     state: &ServerState,
     slug: &str,
@@ -1085,12 +1109,13 @@ fn run_case_job(
     let def = find_case(slug)
         .ok_or_else(|| ApiError::new(404, "unknown-case", format!("no case `{slug}`")))?;
     // Intra-case parallelism: one request fans its per-instruction
-    // tracing, engine blocks, and certificate replays out over as many
-    // scoped worker threads as the pool has resident workers. The scoped
-    // threads are independent of the pool (re-submitting to the pool
-    // from inside a pool job could deadlock a full queue); results merge
-    // in block order so the response body is byte-identical to jobs = 1.
-    let jobs = state.pool.workers();
+    // tracing, engine blocks, and certificate replays out over scoped
+    // worker threads, as many as there are idle pool workers plus this
+    // one (`fanout_width`). The scoped threads are independent of the
+    // pool (re-submitting to the pool from inside a pool job could
+    // deadlock a full queue); results merge in block order so the
+    // response body is byte-identical to jobs = 1.
+    let jobs = fanout_width(state.pool.workers(), state.pool.in_flight());
     let ctx = CaseCtx::new(&state.tcache, jobs);
     let art = (def.build)(&ctx);
     let opts = RunOpts {
@@ -1276,4 +1301,27 @@ fn run_check_job(
         body,
         profile: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fanout_width;
+
+    #[test]
+    fn fanout_width_is_the_idle_workers_plus_the_caller() {
+        // Idle pool: the caller is the only job in flight. (Zero in
+        // flight cannot reach a pool job; the width still stays in
+        // range.)
+        assert_eq!(fanout_width(4, 1), 4);
+        assert_eq!(fanout_width(4, 0), 4);
+        // Partly busy: the idle workers plus the caller.
+        assert_eq!(fanout_width(4, 2), 3);
+        // Fully busy, and a racy read past the worker count.
+        assert_eq!(fanout_width(4, 4), 1);
+        assert_eq!(fanout_width(4, 9), 1);
+        // One worker never fans out.
+        assert_eq!(fanout_width(1, 0), 1);
+        assert_eq!(fanout_width(1, 1), 1);
+        assert_eq!(fanout_width(1, 3), 1);
+    }
 }

@@ -388,18 +388,10 @@ fn deadline_lapsing_mid_case_interrupts_between_block_jobs() {
 
     // The interrupted job retired cleanly: nothing left in flight or
     // queued, no worker panicked, and the error was counted under its
-    // kind like any dequeue-time expiry. The 504 is written from inside
-    // the pool job, a moment before the worker decrements the in-flight
-    // gauge, so quiescence is polled rather than asserted on the first
-    // scrape.
-    let mut after = metrics(port);
-    for _ in 0..200 {
-        if after["islaris_in_flight"] == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        after = metrics(port);
-    }
+    // kind like any dequeue-time expiry. The job leaves the in-flight
+    // gauge before it publishes its 504, so the first scrape after the
+    // answer already reads zero.
+    let after = metrics(port);
     assert_eq!(after["islaris_in_flight"], 0);
     assert_eq!(after["islaris_queue_depth"], 0);
     assert_eq!(after["islaris_job_panics"], before["islaris_job_panics"]);
@@ -467,6 +459,63 @@ fn saturation_answers_overloaded_and_recovers() {
         "{\"kind\":\"case\",\"slug\":\"hvc\"}",
     );
     assert_eq!(status, 200);
+
+    server.stop();
+    server.join();
+}
+
+/// A client that sends a case request and closes without reading the
+/// reply: writing the reply into the dead socket ends only that
+/// connection's thread (accepted sockets carry a write timeout, so a
+/// peer that stays open but stops reading cannot pin it either). No
+/// worker panics, and the next real job is served.
+#[test]
+fn client_closing_before_its_case_reply_leaves_the_server_serving() {
+    let server = start();
+    let port = server.port();
+    let before = metrics(port);
+
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    write_request(
+        &mut stream,
+        "POST",
+        "/verify",
+        &[],
+        b"{\"kind\":\"case\",\"slug\":\"memcpy_riscv\"}",
+    )
+    .expect("send");
+    drop(stream);
+
+    // Let the abandoned job run to completion and retire before the
+    // real one, so its reply really goes to a closed socket.
+    let executed = "islaris_exec_case_wall_ns_count";
+    let mut after = metrics(port);
+    for _ in 0..2000 {
+        if after[executed] > before[executed] && after["islaris_in_flight"] == 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        after = metrics(port);
+    }
+    assert_eq!(
+        after[executed],
+        before[executed] + 1,
+        "abandoned job never ran"
+    );
+    assert_eq!(after["islaris_in_flight"], 0);
+
+    let (status, body) = rpc(
+        port,
+        "POST",
+        "/verify",
+        "{\"kind\":\"case\",\"slug\":\"hvc\"}",
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"verdict\":\"proved\""), "{body}");
+    assert_eq!(
+        metrics(port)["islaris_job_panics"],
+        before["islaris_job_panics"]
+    );
 
     server.stop();
     server.join();

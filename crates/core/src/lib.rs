@@ -30,5 +30,5 @@ pub use cert::{
 };
 pub use engine::{BlockReport, BlockStats, Report, Verifier, VerifyError, DEADLINE_EXCEEDED};
 pub use iospec::{accepts, uart, NoIo, Protocol, UartProtocol};
-pub use pipeline::{effective_jobs, run_jobs, JobPanic, JobSlot, SubmitError, WorkerPool};
+pub use pipeline::{effective_jobs, run_jobs, Claim, JobPanic, JobSlot, SubmitError, WorkerPool};
 pub use seq::{SeqExpr, SeqVar};

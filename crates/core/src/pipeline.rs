@@ -161,8 +161,27 @@ impl std::error::Error for SubmitError {}
 
 /// One unit of pool work: a closure invoked with `true` iff the job's
 /// deadline had already passed when a worker claimed it (the job should
-/// then produce its deadline-exceeded answer instead of doing the work).
-type PoolTask = Box<dyn FnOnce(bool) + Send>;
+/// then produce its deadline-exceeded answer instead of doing the work),
+/// and with the job's [`Claim`] on the in-flight count.
+type PoolTask = Box<dyn FnOnce(bool, Claim) + Send>;
+
+/// A running pool job's share of [`WorkerPool::in_flight`]. The count
+/// drops when the claim does: when the job returns (or unwinds) at the
+/// latest, or earlier if the job drops its claim before it publishes
+/// its answer, so a submitter woken by that answer never counts its own
+/// job as still in flight.
+pub struct Claim {
+    shared: Arc<PoolShared>,
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        // Relaxed is enough: a submitter that must see this decrement
+        // waits on the job's `JobSlot`, whose mutex orders the fill
+        // after it.
+        self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+}
 
 struct QueuedJob {
     deadline: Option<Instant>,
@@ -184,8 +203,8 @@ struct PoolShared {
     /// Jobs whose closure panicked (the worker survives; the counter is
     /// the observable trace of the isolation).
     panics: AtomicUsize,
-    /// Jobs claimed by a worker and not yet finished — the service
-    /// in-flight gauge ([`WorkerPool::in_flight`]).
+    /// Jobs claimed by a worker whose [`Claim`] is still held — the
+    /// service in-flight gauge ([`WorkerPool::in_flight`]).
     in_flight: AtomicUsize,
 }
 
@@ -236,7 +255,7 @@ impl WorkerPool {
 
     /// Enqueues a job unless the queue is at capacity or the pool is
     /// stopping. The closure receives `true` iff `deadline` had passed
-    /// by the time a worker claimed the job.
+    /// by the time a worker claimed the job, and the job's [`Claim`].
     ///
     /// With a `recorder`, the worker records a `queue-wait` span (submit
     /// → dequeue, category `pool`) into it at claim time, attributed to
@@ -253,7 +272,7 @@ impl WorkerPool {
         &self,
         deadline: Option<Instant>,
         recorder: Option<Arc<Recorder>>,
-        run: impl FnOnce(bool) + Send + 'static,
+        run: impl FnOnce(bool, Claim) + Send + 'static,
     ) -> Result<(), SubmitError> {
         if self.shared.stopping.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
@@ -287,7 +306,7 @@ impl WorkerPool {
             .len()
     }
 
-    /// Jobs claimed by a worker and not yet finished.
+    /// Jobs claimed by a worker whose [`Claim`] is still held.
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.shared.in_flight.load(Ordering::Relaxed)
@@ -326,7 +345,7 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(shared: &PoolShared) {
+fn worker_loop(shared: &Arc<PoolShared>) {
     loop {
         let job = {
             let mut queue = shared
@@ -353,10 +372,12 @@ fn worker_loop(shared: &PoolShared) {
         }
         let run = job.run;
         shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        if catch_unwind(AssertUnwindSafe(move || run(expired))).is_err() {
+        let claim = Claim {
+            shared: Arc::clone(shared),
+        };
+        if catch_unwind(AssertUnwindSafe(move || run(expired, claim))).is_err() {
             shared.panics.fetch_add(1, Ordering::Relaxed);
         }
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -514,7 +535,7 @@ mod tests {
         let slots: Vec<JobSlot<usize>> = (0..8).map(|_| JobSlot::new()).collect();
         for (i, slot) in slots.iter().enumerate() {
             let slot = slot.clone();
-            pool.try_submit(None, None, move |expired| {
+            pool.try_submit(None, None, move |expired, _| {
                 assert!(!expired);
                 slot.fill(i * i);
             })
@@ -537,17 +558,17 @@ mod tests {
         {
             let gate = gate.clone();
             let started = started.clone();
-            pool.try_submit(None, None, move |_| {
+            pool.try_submit(None, None, move |_, _| {
                 started.fill(());
                 gate.wait();
             })
             .unwrap();
         }
         started.wait(); // worker is now parked inside the blocker
-        pool.try_submit(None, None, |_| {}).unwrap();
-        pool.try_submit(None, None, |_| {}).unwrap();
+        pool.try_submit(None, None, |_, _| {}).unwrap();
+        pool.try_submit(None, None, |_, _| {}).unwrap();
         assert_eq!(
-            pool.try_submit(None, None, |_| {}),
+            pool.try_submit(None, None, |_, _| {}),
             Err(SubmitError::Saturated)
         );
         assert_eq!(pool.queued(), 2);
@@ -562,7 +583,7 @@ mod tests {
         let slot = JobSlot::<bool>::new();
         {
             let slot = slot.clone();
-            pool.try_submit(Some(past), None, move |expired| slot.fill(expired))
+            pool.try_submit(Some(past), None, move |expired, _| slot.fill(expired))
                 .unwrap();
         }
         assert!(slot.wait(), "a lapsed deadline must reach the job as true");
@@ -570,7 +591,7 @@ mod tests {
         {
             let slot2 = slot2.clone();
             let far = Instant::now() + std::time::Duration::from_secs(3600);
-            pool.try_submit(Some(far), None, move |expired| slot2.fill(expired))
+            pool.try_submit(Some(far), None, move |expired, _| slot2.fill(expired))
                 .unwrap();
         }
         assert!(!slot2.wait());
@@ -585,7 +606,7 @@ mod tests {
         {
             let slot = slot.clone();
             let rec2 = Arc::clone(&rec);
-            pool.try_submit(None, Some(Arc::clone(&rec)), move |_| {
+            pool.try_submit(None, Some(Arc::clone(&rec)), move |_, _| {
                 // The queue-wait span is visible from inside the job:
                 // the worker records it before invoking the closure.
                 let names: Vec<String> = rec2.spans().into_iter().map(|s| s.name).collect();
@@ -610,7 +631,7 @@ mod tests {
         {
             let gate = gate.clone();
             let started = started.clone();
-            pool.try_submit(None, None, move |_| {
+            pool.try_submit(None, None, move |_, _| {
                 started.fill(());
                 gate.wait();
             })
@@ -619,18 +640,38 @@ mod tests {
         started.wait();
         assert_eq!(pool.in_flight(), 1, "blocked job counts as in flight");
         gate.fill(());
+
+        // A job that drops its claim retires from the count before it
+        // returns: the submitter it answers sees the pool idle.
+        let answer = JobSlot::<usize>::new();
+        let gate = JobSlot::<()>::new();
+        {
+            let answer = answer.clone();
+            let gate = gate.clone();
+            let pool_view = Arc::clone(&pool.shared);
+            pool.try_submit(None, None, move |_, claim| {
+                drop(claim);
+                answer.fill(pool_view.in_flight.load(Ordering::Relaxed));
+                gate.wait();
+            })
+            .unwrap();
+        }
+        assert_eq!(answer.wait(), 0, "a dropped claim leaves the count");
+        assert_eq!(pool.in_flight(), 0, "the job still runs, unclaimed");
+        gate.fill(());
         pool.shutdown();
     }
 
     #[test]
     fn pool_worker_survives_a_panicking_job() {
         let pool = WorkerPool::new(1, 4);
-        pool.try_submit(None, None, |_| panic!("poisoned job"))
+        pool.try_submit(None, None, |_, _| panic!("poisoned job"))
             .unwrap();
         let slot = JobSlot::<u32>::new();
         {
             let slot = slot.clone();
-            pool.try_submit(None, None, move |_| slot.fill(7)).unwrap();
+            pool.try_submit(None, None, move |_, _| slot.fill(7))
+                .unwrap();
         }
         assert_eq!(slot.wait(), 7, "the worker must outlive the panic");
         assert_eq!(pool.panics(), 1);

@@ -277,7 +277,31 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, HttpError> {
     })
 }
 
-/// Writes one request with a `Content-Length` body.
+/// Sends one message with a single `write_all`: the start line, the
+/// headers, the blank line and the body go out as one buffer. Split
+/// writes on a socket with Nagle's algorithm on hold the body back
+/// until the peer ACKs the head, and a delayed ACK makes that ~40 ms
+/// per message.
+fn write_message(
+    w: &mut impl Write,
+    mut head: String,
+    extra_headers: &[(&str, String)],
+    body: &[u8],
+) -> std::io::Result<()> {
+    for (k, v) in extra_headers {
+        head.push_str(k);
+        head.push_str(": ");
+        head.push_str(v);
+        head.push_str("\r\n");
+    }
+    head.push_str("\r\n");
+    let mut msg = head.into_bytes();
+    msg.extend_from_slice(body);
+    w.write_all(&msg)?;
+    w.flush()
+}
+
+/// Writes one request with a `Content-Length` body, in one write.
 ///
 /// # Errors
 ///
@@ -289,20 +313,14 @@ pub fn write_request(
     extra_headers: &[(&str, String)],
     body: &[u8],
 ) -> std::io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n",
         body.len()
-    )?;
-    for (k, v) in extra_headers {
-        write!(w, "{k}: {v}\r\n")?;
-    }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
-    w.flush()
+    );
+    write_message(w, head, extra_headers, body)
 }
 
-/// Writes one response with a `Content-Length` body.
+/// Writes one response with a `Content-Length` body, in one write.
 ///
 /// # Errors
 ///
@@ -313,18 +331,12 @@ pub fn write_response(
     extra_headers: &[(&str, String)],
     body: &[u8],
 ) -> std::io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Length: {}\r\nContent-Type: application/json\r\n",
         status_reason(status),
         body.len()
-    )?;
-    for (k, v) in extra_headers {
-        write!(w, "{k}: {v}\r\n")?;
-    }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
-    w.flush()
+    );
+    write_message(w, head, extra_headers, body)
 }
 
 #[cfg(test)]
@@ -363,6 +375,53 @@ mod tests {
         assert_eq!(resp.status, 404);
         assert_eq!(resp.header("content-type"), Some("application/json"));
         assert_eq!(resp.body_str(), "{\"error\":\"unknown-case\"}");
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write() {
+        let headers = [("X-A", "1".to_string()), ("X-B", "2".to_string())];
+        let body = b"{\"kind\":\"case\",\"slug\":\"hvc\"}";
+
+        let mut w = CountingWriter::default();
+        write_request(&mut w, "POST", "/verify", &headers, body).unwrap();
+        assert_eq!(w.writes, 1, "write_request split its message");
+        let req = parse(&w.bytes).unwrap();
+        assert_eq!(
+            (req.header("x-b"), req.body.as_slice()),
+            (Some("2"), &body[..])
+        );
+
+        let mut w = CountingWriter::default();
+        write_response(&mut w, 200, &headers, body).unwrap();
+        assert_eq!(w.writes, 1, "write_response split its message");
+        assert_eq!(
+            w.bytes,
+            [
+                &b"HTTP/1.1 200 OK\r\nContent-Length: 28\r\n"[..],
+                b"Content-Type: application/json\r\nX-A: 1\r\nX-B: 2\r\n\r\n",
+                body,
+            ]
+            .concat()
+        );
     }
 
     #[test]
