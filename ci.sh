@@ -307,6 +307,15 @@ grep -q "divergences=0" "$profile_out/diff1.txt" \
 grep -q "^coverage classes=29 " "$profile_out/diff1.txt" \
     || { echo "difftest coverage lost decoder classes"; exit 1; }
 
+echo "== second compiler over the goldens (nightly, when installed: the"
+echo "   certificates and the counter profile must not depend on rustc) =="
+if rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
+    CARGO_TARGET_DIR=target/nightly cargo +nightly test --release -q --offline \
+        --test golden --test profile
+else
+    echo "skip: no nightly toolchain installed"
+fi
+
 echo "== divergence report format (planted-bug test asserts the stable"
 echo "   counterexample shape the docs promise) =="
 cargo test --release -q --offline -p islaris-difftest --test planted_bug

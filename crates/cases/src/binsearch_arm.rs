@@ -28,9 +28,7 @@ use islaris_itl::Reg;
 use islaris_models::ARM;
 use islaris_smt::{BvBinop, BvCmp, Expr, Sort, Var};
 
-use crate::report::{
-    run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts,
-};
+use crate::report::{run_case, trace_program_map, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts};
 
 /// Code base address.
 pub const BASE: u64 = 0x6_0000;
@@ -435,7 +433,7 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
         .assume_reg("PSTATE.EL", Bv::new(2, 0b10))
         .assume_reg("PSTATE.SP", Bv::new(1, 1))
         .assume_reg("SCTLR_EL2", Bv::zero(64));
-    let (instrs, isla_stats, cache) = trace_program_map_with(ctx, &cfg, &program);
+    let (instrs, isla_stats, cache) = trace_program_map(ctx, &cfg, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
         program.label("binsearch"),

@@ -22,9 +22,7 @@ use islaris_itl::Reg;
 use islaris_models::RISCV;
 use islaris_smt::{BvBinop, BvCmp, Expr, Sort, Var};
 
-use crate::report::{
-    run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts,
-};
+use crate::report::{run_case, trace_program_map, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts};
 
 /// Code base address.
 pub const BASE: u64 = 0x7_0000;
@@ -358,7 +356,7 @@ pub fn build_case() -> CaseArtifacts {
 pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
     let program = program();
     let cfg = IslaConfig::new(RISCV);
-    let (instrs, isla_stats, cache) = trace_program_map_with(ctx, &cfg, &program);
+    let (instrs, isla_stats, cache) = trace_program_map(ctx, &cfg, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
         program.label("binsearch"),

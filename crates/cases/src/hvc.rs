@@ -22,9 +22,7 @@ use islaris_itl::Reg;
 use islaris_models::ARM;
 use islaris_smt::{Expr, Sort, Var};
 
-use crate::report::{
-    run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts,
-};
+use crate::report::{run_case, trace_program_map, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts};
 
 /// `_start` (initialisation at EL2), per Fig. 9's `.org 0x80000`.
 pub const START: u64 = 0x8_0000;
@@ -156,7 +154,7 @@ pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
     let program = program();
     // Unconstrained configuration: the program changes EL at runtime.
     let cfg = IslaConfig::new(ARM);
-    let (instrs, isla_stats, cache) = trace_program_map_with(ctx, &cfg, &program);
+    let (instrs, isla_stats, cache) = trace_program_map(ctx, &cfg, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
         START,

@@ -18,7 +18,4 @@ pub use pipeline::{
     find_case, run_all_parallel, run_cases, CaseDef, CaseRow, ParallelRun, PipelineOpts,
     PipelineReport, ALL_CASES,
 };
-pub use report::{
-    run_case, trace_program_map, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome,
-    RunOpts,
-};
+pub use report::{run_case, trace_program_map, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts};

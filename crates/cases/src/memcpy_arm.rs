@@ -18,9 +18,7 @@ use islaris_itl::Reg;
 use islaris_models::ARM;
 use islaris_smt::{BvCmp, Expr, Sort, Var};
 
-use crate::report::{
-    run_case, trace_program_map_with, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts,
-};
+use crate::report::{run_case, trace_program_map, CaseArtifacts, CaseCtx, CaseOutcome, RunOpts};
 
 /// Code base address.
 pub const BASE: u64 = 0x1_0000;
@@ -246,7 +244,7 @@ pub fn build_case() -> CaseArtifacts {
 pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
     let program = program();
     let cfg = IslaConfig::new(ARM);
-    let (instrs, isla_stats, cache) = trace_program_map_with(ctx, &cfg, &program);
+    let (instrs, isla_stats, cache) = trace_program_map(ctx, &cfg, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
         program.label("memcpy"),

@@ -282,7 +282,7 @@ impl Default for PipelineOpts<'_> {
 /// deterministic registry-order join). Case builds use a sequential
 /// inner context: parallelism is at the case level here,
 /// instruction-level fan-out is
-/// [`crate::report::trace_program_map_with`]'s job.
+/// [`crate::report::trace_program_map`]'s job.
 #[must_use]
 pub fn run_cases(cases: &[CaseDef], opts: &PipelineOpts) -> PipelineReport {
     let ctx = CaseCtx {

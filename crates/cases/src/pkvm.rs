@@ -268,27 +268,16 @@ pub fn specs() -> SpecTable {
     t
 }
 
-/// Generates the traces: instruction-specific configurations for the
-/// relocation-patched `movz`/`movk` (symbolic immediates) and the shared
-/// `eret` (the relaxed SPSR constraint).
+/// Generates the traces under a build context (shared trace cache,
+/// per-instruction worker count): instruction-specific configurations for
+/// the relocation-patched `movz`/`movk` (symbolic immediates) and the
+/// shared `eret` (the relaxed SPSR constraint).
 ///
 /// # Panics
 ///
 /// Panics if trace generation fails.
 #[must_use]
-pub fn traces(program: &Program) -> (BTreeMap<u64, Arc<islaris_itl::Trace>>, IslaStats) {
-    let (map, stats, _) = traces_with(&CaseCtx::default(), program);
-    (map, stats)
-}
-
-/// [`traces`] under an explicit build context (shared trace cache,
-/// per-instruction worker count).
-///
-/// # Panics
-///
-/// Panics if trace generation fails.
-#[must_use]
-pub fn traces_with(
+pub fn traces(
     ctx: &CaseCtx,
     program: &Program,
 ) -> (
@@ -399,7 +388,7 @@ pub fn build_case() -> CaseArtifacts {
 #[must_use]
 pub fn build_case_with(ctx: &CaseCtx) -> CaseArtifacts {
     let program = program();
-    let (instrs, isla_stats, cache) = traces_with(ctx, &program);
+    let (instrs, isla_stats, cache) = traces(ctx, &program);
     let mut blocks = BTreeMap::new();
     blocks.insert(
         HANDLER,
@@ -447,7 +436,7 @@ mod tests {
     #[test]
     fn patched_addresses_follow_the_label() {
         let p = program();
-        let (map, _) = traces(&p);
+        let (map, _, _) = traces(&CaseCtx::default(), &p);
         // The four instructions at reset_vectors have parametric traces
         // (they mention the immediate variables 90..94).
         let base = p.label("reset_vectors");

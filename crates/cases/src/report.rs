@@ -186,21 +186,6 @@ impl CaseOutcome {
     }
 }
 
-/// Builds the instruction map for a program under one Isla configuration
-/// (sequential, uncached — the legacy entry point).
-///
-/// # Panics
-///
-/// Panics if trace generation fails (bundled case studies must trace).
-#[must_use]
-pub fn trace_program_map(
-    cfg: &IslaConfig,
-    program: &Program,
-) -> (BTreeMap<u64, Arc<Trace>>, IslaStats) {
-    let (map, stats, _) = trace_program_map_with(&CaseCtx::default(), cfg, program);
-    (map, stats)
-}
-
 /// Builds the instruction map for a program, optionally through a shared
 /// [`TraceCache`] and fanned out across `ctx.jobs` workers. Statistics
 /// are aggregated in address order, and cache hits replay the original
@@ -212,7 +197,7 @@ pub fn trace_program_map(
 ///
 /// Panics if trace generation fails (bundled case studies must trace).
 #[must_use]
-pub fn trace_program_map_with(
+pub fn trace_program_map(
     ctx: &CaseCtx,
     cfg: &IslaConfig,
     program: &Program,

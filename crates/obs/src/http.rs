@@ -180,7 +180,10 @@ fn read_line(
 }
 
 /// Parses headers plus an optional `Content-Length` body (shared between
-/// requests and responses).
+/// requests and responses). Framing that RFC 7230 §3.3.3 calls invalid is
+/// `Malformed`: a `Transfer-Encoding` (no transfer coding is supported),
+/// `Content-Length` headers that disagree, or a length that is not all
+/// ASCII digits (`usize::from_str` alone would take `+5`).
 fn read_head_and_body(
     r: &mut impl BufRead,
     budget: &mut usize,
@@ -199,11 +202,28 @@ fn read_head_and_body(
         }
         headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
-    let length = match headers.iter().find(|(k, _)| k == "content-length") {
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::Malformed(
+            "Transfer-Encoding is not supported".into(),
+        ));
+    }
+    let mut lengths = headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v);
+    let length = match lengths.next() {
         None => 0,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad Content-Length `{v}`")))?,
+        Some(v) => {
+            if let Some(w) = lengths.find(|w| *w != v) {
+                return Err(HttpError::Malformed(format!(
+                    "conflicting Content-Length `{v}` and `{w}`"
+                )));
+            }
+            v.parse::<usize>()
+                .ok()
+                .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(|| HttpError::Malformed(format!("bad Content-Length `{v}`")))?
+        }
     };
     if length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge(length));
@@ -454,6 +474,43 @@ mod tests {
                 got: 3
             })
         );
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed() {
+        assert!(matches!(
+            parse(b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabcde"),
+            Err(HttpError::Malformed(m)) if m.contains("conflicting")
+        ));
+        // Repeating the same length is not a conflict.
+        let req = parse(b"POST /x HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc")
+            .unwrap();
+        assert_eq!(req.body, b"abc");
+    }
+
+    #[test]
+    fn transfer_encoding_is_malformed() {
+        assert!(matches!(
+            parse(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n"),
+            Err(HttpError::Malformed(m)) if m.contains("Transfer-Encoding")
+        ));
+        assert!(matches!(
+            parse(
+                b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nTransfer-Encoding: identity\r\n\r\nabc"
+            ),
+            Err(HttpError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn signed_or_empty_content_length_is_malformed() {
+        for v in ["+5", "-0", "", " 5 5", "0x5", "5a"] {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {v}\r\n\r\nabcde");
+            assert!(
+                matches!(parse(raw.as_bytes()), Err(HttpError::Malformed(_))),
+                "Content-Length `{v}` accepted"
+            );
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 
 use std::collections::HashMap;
 
+use islaris_obs::SolverMetrics;
+
 use crate::expr::{BvBinop, BvCmp, BvUnop, Expr, ExprKind, Sort, Value, Var};
-use crate::sat::{ClauseArena, Lit, SatSolver};
+use crate::sat::{ClauseArena, Lit, SatOutcome, SatSolver};
 
 /// Encoded form of an expression.
 #[derive(Debug, Clone)]
@@ -84,25 +86,11 @@ impl Blaster {
         }
     }
 
-    /// Solves the accumulated constraints (no conflict limit).
-    pub fn solve(&mut self) -> crate::sat::SatOutcome {
-        self.sat.solve()
-    }
-
-    /// Solves with a conflict budget; `None` means "unknown".
-    pub fn solve_limited(&mut self, max_conflicts: u64) -> Option<crate::sat::SatOutcome> {
-        self.sat.solve_limited(max_conflicts)
-    }
-
-    /// Incremental solve under assumption literals (see
-    /// [`SatSolver::solve_with_assumptions`]); `None` means the per-call
-    /// conflict budget ran out.
-    pub fn solve_with_assumptions(
-        &mut self,
-        assumptions: &[Lit],
-        max_conflicts: u64,
-    ) -> Option<crate::sat::AssumptionOutcome> {
-        self.sat.solve_with_assumptions(assumptions, max_conflicts)
+    /// Solves the accumulated constraints under `assumptions` (see
+    /// [`SatSolver::solve`]); `None` means the per-call conflict budget ran
+    /// out.
+    pub fn solve(&mut self, assumptions: &[Lit], max_conflicts: u64) -> Option<SatOutcome> {
+        self.sat.solve(assumptions, max_conflicts)
     }
 
     /// Encodes a boolean expression and returns its output literal
@@ -145,54 +133,18 @@ impl Blaster {
         self.sat.original_clauses()
     }
 
-    /// Unit propagations performed by the backing SAT solver.
+    /// Snapshot of the cumulative effort behind this blaster: the CNF
+    /// size (variables and input clauses), the terms folded away before
+    /// CNF, and the backing solver's search counters
+    /// ([`SatSolver::effort`]). Every other field is zero.
     #[must_use]
-    pub fn sat_propagations(&self) -> u64 {
-        self.sat.propagation_count()
-    }
-
-    /// Decisions taken by the backing SAT solver.
-    #[must_use]
-    pub fn sat_decisions(&self) -> u64 {
-        self.sat.decision_count()
-    }
-
-    /// Conflicts hit by the backing SAT solver.
-    #[must_use]
-    pub fn sat_conflicts(&self) -> u64 {
-        self.sat.conflict_count()
-    }
-
-    /// Restarts performed by the backing SAT solver.
-    #[must_use]
-    pub fn sat_restarts(&self) -> u64 {
-        self.sat.restart_count()
-    }
-
-    /// Learned clauses deleted by database reduction.
-    #[must_use]
-    pub fn sat_reduced(&self) -> u64 {
-        self.sat.reduced_count()
-    }
-
-    /// Literals removed by conflict-clause minimization.
-    #[must_use]
-    pub fn sat_minimized(&self) -> u64 {
-        self.sat.minimized_count()
-    }
-
-    /// Gates folded away before CNF (constant short-circuits and
-    /// structural-hash hits).
-    #[must_use]
-    pub fn folded_count(&self) -> u64 {
-        self.folded
-    }
-
-    /// Bumps the folded-terms counter: the word-level preprocessing in
-    /// [`crate::simplify::propagate_constants`] runs outside the blaster
-    /// but reports through the same counter.
-    pub fn add_folded(&mut self, n: u64) {
-        self.folded += n;
+    pub fn effort(&self) -> SolverMetrics {
+        SolverMetrics {
+            cnf_vars: u64::from(self.sat.num_vars()),
+            cnf_clauses: self.sat.original_clauses().len() as u64,
+            folded: self.folded,
+            ..self.sat.effort()
+        }
     }
 
     /// A literal constrained to be true.
@@ -778,7 +730,10 @@ mod tests {
         let e = Expr::eq(Expr::add(Expr::bv(8, 40), Expr::bv(8, 2)), Expr::bv(8, 42));
         let mut bl = Blaster::new();
         bl.assert_expr(&e, &|_| None).unwrap();
-        assert!(matches!(bl.solve(), SatOutcome::Sat(_)));
+        assert!(matches!(
+            bl.solve(&[], u64::MAX).expect("unlimited solve"),
+            SatOutcome::Sat(_)
+        ));
     }
 
     #[test]
@@ -789,7 +744,10 @@ mod tests {
             .unwrap();
         bl.assert_expr(&Expr::eq(x, Expr::bv(64, 6)), &sorts64)
             .unwrap();
-        assert!(matches!(bl.solve(), SatOutcome::Unsat(_)));
+        assert!(matches!(
+            bl.solve(&[], u64::MAX).expect("unlimited solve"),
+            SatOutcome::Unsat(_)
+        ));
     }
 
     #[test]
@@ -799,7 +757,7 @@ mod tests {
         let e = Expr::eq(Expr::add(x, Expr::bv(64, 1)), Expr::bv(64, 0));
         let mut bl = Blaster::new();
         bl.assert_expr(&e, &sorts64).unwrap();
-        match bl.solve() {
+        match bl.solve(&[], u64::MAX).expect("unlimited solve") {
             SatOutcome::Sat(m) => {
                 let v = bl.extract_value(Var(0), &m, &sorts64).unwrap();
                 assert_eq!(v, Value::Bits(Bv::ones(64)));
@@ -820,7 +778,7 @@ mod tests {
             &sorts64,
         )
         .unwrap();
-        match bl.solve() {
+        match bl.solve(&[], u64::MAX).expect("unlimited solve") {
             SatOutcome::Sat(m) => {
                 let v = bl.extract_value(Var(0), &m, &sorts64).unwrap().as_bits();
                 assert!(v.slt(&Bv::zero(64)) && Bv::new(64, 10).ult(&v));
@@ -839,7 +797,7 @@ mod tests {
         );
         let mut bl = Blaster::new();
         bl.assert_expr(&e, &sorts64).unwrap();
-        match bl.solve() {
+        match bl.solve(&[], u64::MAX).expect("unlimited solve") {
             SatOutcome::Sat(m) => {
                 let v = bl.extract_value(Var(0), &m, &sorts64).unwrap().as_bits();
                 assert_eq!(v.shl(&Bv::new(64, 4)), Bv::new(64, 0xf0));
@@ -858,7 +816,10 @@ mod tests {
         ));
         let mut bl = Blaster::new();
         bl.assert_expr(&e, &sorts64).unwrap();
-        assert!(matches!(bl.solve(), SatOutcome::Unsat(_)));
+        assert!(matches!(
+            bl.solve(&[], u64::MAX).expect("unlimited solve"),
+            SatOutcome::Unsat(_)
+        ));
     }
 
     #[test]
@@ -893,7 +854,7 @@ mod tests {
         );
         let mut bl = Blaster::new();
         bl.assert_expr(&e, &sorts8).unwrap();
-        match bl.solve() {
+        match bl.solve(&[], u64::MAX).expect("unlimited solve") {
             SatOutcome::Sat(m) => {
                 let v = bl.extract_value(Var(0), &m, &sorts8).unwrap().as_bits();
                 assert_eq!(Bv::new(8, 6).mul(&v), Bv::new(8, 42));

@@ -7,13 +7,16 @@
 //!   in Isla's concrete syntax;
 //! * [`eval()`] — big-step evaluation (`e ↓ v`);
 //! * [`simplify()`] — a semantics-preserving rewriting simplifier;
-//! * [`sat`] — a CDCL SAT solver with RUP proof logging;
-//! * [`cnf`] — Tseitin bit-blasting of expressions to CNF;
+//! * [`sat`] — a CDCL SAT solver with RUP proof logging and one search
+//!   loop, `SatSolver::solve`, which takes optional assumption literals;
+//! * [`cnf`] — Tseitin bit-blasting of expressions to CNF, with one
+//!   effort snapshot (`Blaster::effort`) for CNF size and search counters;
 //! * [`solver`] — the query facade ([`check_sat`], [`entails`], each
 //!   taking a [`QueryCtx`] of optional sinks) with checked models and
 //!   optionally checked refutation proofs;
 //! * [`session`] — incremental solving sessions (facts encoded once,
-//!   clauses retained across queries) and the shared sound query cache;
+//!   clauses retained across queries, the verdict concluded by the same
+//!   step as a from-scratch query) and the shared sound query cache;
 //! * [`lia`] — linear integer arithmetic for sequence-index reasoning.
 //!
 //! # Examples

@@ -8,9 +8,14 @@
 //! playing the role Z3 plays for Isla: deciding satisfiability of the
 //! constraints that arise during symbolic execution and verification.
 //!
+//! There is one search loop, [`SatSolver::solve`]: a from-scratch solve
+//! passes no assumptions, an incremental session passes its query's
+//! literals against a retained clause database.
+//!
 //! Answers are *checkable*: `Sat` carries a model (validated by evaluation in
-//! [`crate::solver`]), and `Unsat` carries the sequence of learned clauses,
-//! which [`check_rup_proof`] replays by reverse unit propagation — the SAT
+//! [`crate::solver`]), and an `Unsat` that refutes the clause database carries
+//! the sequence of learned clauses, which [`check_rup_proof`] replays by
+//! reverse unit propagation — the SAT
 //! analogue of the paper's translation-validation stance that untrusted
 //! search should produce independently checkable evidence. Clause-database
 //! reduction keeps this sound: proof clauses are logged at learn time and
@@ -24,6 +29,8 @@
 //! [`check_rup_proof`]).
 
 use std::fmt;
+
+use islaris_obs::SolverMetrics;
 
 /// A propositional variable, numbered from 0.
 pub type SatVar = u32;
@@ -100,33 +107,18 @@ pub const SAT_IDENTITY: &str = concat!(
     "db_reduction: true, minimize: true, fold: true }"
 );
 
-/// Result of a SAT query.
+/// Result of a SAT query ([`SatSolver::solve`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SatOutcome {
-    /// Satisfiable; the vector maps each variable index to its value.
-    Sat(Vec<bool>),
-    /// Unsatisfiable; carries the RUP proof (learned clauses in derivation
-    /// order, ending with the empty clause).
-    Unsat(RupProof),
-}
-
-/// Result of an assumption-based SAT query
-/// ([`SatSolver::solve_with_assumptions`]).
-///
-/// Unlike [`SatOutcome`], the unsat case carries no RUP refutation: the
-/// conflict depends on the assumption literals, not on the clause database
-/// alone, so there is no proof of *formula* unsatisfiability to log. Callers
-/// that need a checked refutation fall back to a fresh from-scratch solve.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AssumptionOutcome {
-    /// Satisfiable under the assumptions; the vector maps each variable
+    /// Satisfiable (under the assumptions); the vector maps each variable
     /// index to its value.
     Sat(Vec<bool>),
-    /// Unsatisfiable under the assumptions; carries the final-conflict
-    /// analysis: a subset of the given assumption literals (sorted,
-    /// deduplicated) that already suffices for unsatisfiability. Empty iff
-    /// the clause database itself is unsatisfiable.
-    Unsat(Vec<Lit>),
+    /// Unsatisfiable under the assumptions. Carries the RUP refutation of
+    /// the clause database (learned clauses in derivation order, ending
+    /// with the empty clause) when the conflict reached the root level
+    /// with proof logging on; `None` when the assumptions forced the
+    /// conflict, logging is off, or the log was already handed out.
+    Unsat(Option<RupProof>),
 }
 
 /// An RUP (reverse unit propagation) refutation: each clause is implied by
@@ -293,9 +285,9 @@ struct Watch {
 /// let b = s.new_var();
 /// s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
 /// s.add_clause(&[Lit::neg(a)]);
-/// match s.solve() {
-///     SatOutcome::Sat(model) => assert!(model[b as usize]),
-///     SatOutcome::Unsat(_) => unreachable!(),
+/// match s.solve(&[], u64::MAX) {
+///     Some(SatOutcome::Sat(model)) => assert!(model[b as usize]),
+///     other => unreachable!("{other:?}"),
 /// }
 /// ```
 #[derive(Debug)]
@@ -329,11 +321,11 @@ pub struct SatSolver {
     num_learned: usize,
     max_learned: usize,
     proof: RupProof,
-    /// Disables RUP proof logging (logging is on by default).
-    /// Incremental sessions turn logging off: learned clauses retained
-    /// across assumption solves would otherwise accumulate an unbounded
-    /// — and, interleaved with assumption-era derivations, no longer
-    /// replayable — proof vector.
+    /// Disables RUP proof logging (logging is on by default, and stops
+    /// once a refutation has been handed out). Incremental sessions turn
+    /// logging off: learned clauses retained across assumption solves
+    /// would otherwise accumulate an unbounded proof vector whose hint
+    /// indices go stale as clauses are added between solves.
     no_proof_log: bool,
     /// Set when an added clause is immediately contradictory.
     root_conflict: bool,
@@ -451,40 +443,20 @@ impl SatSolver {
         &self.original
     }
 
-    /// Number of conflicts encountered so far (a proxy for search effort).
+    /// Snapshot of the cumulative search-effort counters: propagations,
+    /// decisions, conflicts, restarts, reduced and minimised. Every other
+    /// field is zero.
     #[must_use]
-    pub fn conflict_count(&self) -> u64 {
-        self.conflicts
-    }
-
-    /// Number of clause-driven unit propagations performed so far.
-    #[must_use]
-    pub fn propagation_count(&self) -> u64 {
-        self.propagations
-    }
-
-    /// Number of decisions taken so far.
-    #[must_use]
-    pub fn decision_count(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Number of restarts performed so far.
-    #[must_use]
-    pub fn restart_count(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Number of learned clauses deleted by database reduction so far.
-    #[must_use]
-    pub fn reduced_count(&self) -> u64 {
-        self.reduced
-    }
-
-    /// Number of literals removed by conflict-clause minimisation so far.
-    #[must_use]
-    pub fn minimized_count(&self) -> u64 {
-        self.minimized
+    pub fn effort(&self) -> SolverMetrics {
+        SolverMetrics {
+            propagations: self.propagations,
+            decisions: self.decisions,
+            conflicts: self.conflicts,
+            restarts: self.restarts,
+            reduced: self.reduced,
+            minimized: self.minimized,
+            ..SolverMetrics::default()
+        }
     }
 
     /// Number of clauses currently in the database: input clauses of two or
@@ -497,17 +469,16 @@ impl SatSolver {
 
     /// Turns RUP proof logging on or off (on by default).
     ///
-    /// With logging off, `Unsat` outcomes from [`SatSolver::solve`] /
-    /// [`SatSolver::solve_limited`] carry an empty (unverifiable) proof;
-    /// callers that disable logging must not check proofs. Incremental
-    /// sessions disable it and fall back to a fresh solver when a checked
-    /// refutation is required.
+    /// With logging off, [`SatSolver::solve`] hands out no refutation:
+    /// every `Unsat` outcome carries `None`. Incremental sessions disable
+    /// it and, when a checked refutation is required, re-prove the query
+    /// with a from-scratch solve on a fresh logging solver.
     pub fn set_proof_logging(&mut self, on: bool) {
         self.no_proof_log = !on;
     }
 
-    /// Adds a clause. Must be called before [`SatSolver::solve`]; duplicate
-    /// literals are tolerated, tautologies are dropped.
+    /// Adds a clause, before or between calls to [`SatSolver::solve`];
+    /// duplicate literals are tolerated, tautologies are dropped.
     ///
     /// # Panics
     ///
@@ -518,6 +489,11 @@ impl SatSolver {
                 l.var() < self.num_vars,
                 "literal {l} uses unallocated variable"
             );
+        }
+        // A solve returns with its last trail in place; the new clause is
+        // classified against root-level values only.
+        if !self.trail_lim.is_empty() {
+            self.backtrack(0);
         }
         let cidx = self.original.len() as u32;
         if !self.original.push_normalized(lits) {
@@ -1008,35 +984,56 @@ impl SatSolver {
         }
     }
 
-    /// Solves the formula accumulated via [`SatSolver::add_clause`].
-    pub fn solve(&mut self) -> SatOutcome {
-        self.solve_limited(u64::MAX)
-            .expect("unlimited solve always completes")
-    }
-
-    /// Like [`SatSolver::solve`] but gives up after `max_conflicts`
-    /// conflicts, returning `None` (the caller reports "unknown").
-    pub fn solve_limited(&mut self, max_conflicts: u64) -> Option<SatOutcome> {
+    /// Solves the formula accumulated via [`SatSolver::add_clause`] under
+    /// the `assumptions` (MiniSat-style; a from-scratch solve passes
+    /// `&[]`). Gives up after `max_conflicts` conflicts *in this call*,
+    /// returning `None` (the caller reports "unknown").
+    ///
+    /// The clause database — including clauses learned by earlier calls —
+    /// is retained: learned clauses are resolvents of database clauses
+    /// alone (assumption decisions are never resolved on), so they stay
+    /// valid for any later assumption set. Clauses added between calls are
+    /// picked up by re-propagating the root trail. That root propagation
+    /// runs before the search loop and does not count a conflict.
+    ///
+    /// A conflict at the root level refutes the clause database itself:
+    /// the outcome carries the RUP proof when logging is on, and every
+    /// later call answers `Unsat` at once. An assumption that the database
+    /// falsifies ends the call with `Unsat(None)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assumption mentions an unallocated variable.
+    pub fn solve(&mut self, assumptions: &[Lit], max_conflicts: u64) -> Option<SatOutcome> {
+        for a in assumptions {
+            assert!(
+                a.var() < self.num_vars,
+                "assumption {a} uses unallocated variable"
+            );
+        }
         if self.root_conflict {
-            let hints = self.root_refutation_hints(self.root_conflict_hint.unwrap_or(u32::MAX));
-            return Some(self.finish_unsat(hints));
+            return Some(self.refute(self.root_conflict_hint.unwrap_or(u32::MAX)));
         }
+        // Clauses added since the last call may watch literals that an
+        // earlier trail already falsified; re-propagating the whole root
+        // trail restores the watch invariant before any decision is taken.
+        self.backtrack(0);
+        self.prop_head = 0;
         if let Some(ci) = self.propagate() {
-            let hints = self.root_refutation_hints(self.checker_idx[ci as usize]);
-            return Some(self.finish_unsat(hints));
+            return Some(self.refute(self.checker_idx[ci as usize]));
         }
+        let start_conflicts = self.conflicts;
         let mut restart_budget = luby(LUBY_UNIT, 0);
         let mut restart_seq = 0u32;
 
         loop {
             if let Some(conflict) = self.propagate() {
                 self.conflicts += 1;
-                if self.conflicts > max_conflicts {
+                if self.conflicts - start_conflicts > max_conflicts {
                     return None;
                 }
                 if self.trail_lim.is_empty() {
-                    let hints = self.root_refutation_hints(self.checker_idx[conflict as usize]);
-                    return Some(self.finish_unsat(hints));
+                    return Some(self.refute(self.checker_idx[conflict as usize]));
                 }
                 let (learned, backjump, lbd) = self.analyze(conflict);
                 let cidx = if self.no_proof_log {
@@ -1054,11 +1051,12 @@ impl SatSolver {
                         if self.value(learned[0]) == Some(false) {
                             // Root closure falsifies the just-learned unit:
                             // replaying it after the root chain conflicts.
-                            let hints = self.root_refutation_hints(cidx);
-                            return Some(self.finish_unsat(hints));
+                            return Some(self.refute(cidx));
                         }
                         if self.value(learned[0]).is_none() {
                             if cidx == u32::MAX {
+                                // Unlogged root unit: later hint chains
+                                // cannot re-derive it.
                                 self.hints_poisoned = true;
                             } else {
                                 self.root_hints.push(cidx);
@@ -1077,7 +1075,23 @@ impl SatSolver {
                     self.backtrack(0);
                 }
             } else {
-                match self.decide() {
+                // Place outstanding assumptions as decisions: decision level
+                // i hosts assumption i (already-true assumptions get an
+                // empty dummy level so the correspondence survives
+                // backjumps, exactly as in MiniSat).
+                let mut next = None;
+                while self.trail_lim.len() < assumptions.len() {
+                    let p = assumptions[self.trail_lim.len()];
+                    match self.value(p) {
+                        Some(true) => self.trail_lim.push(self.trail.len()),
+                        Some(false) => return Some(SatOutcome::Unsat(None)),
+                        None => {
+                            next = Some(p);
+                            break;
+                        }
+                    }
+                }
+                match next.or_else(|| self.decide()) {
                     None => {
                         let model: Vec<bool> =
                             self.assign.iter().map(|a| a.unwrap_or(false)).collect();
@@ -1105,163 +1119,21 @@ impl SatSolver {
         h
     }
 
-    /// Logs the final empty clause (with its hints) and hands the proof
-    /// out. The checker indices recorded so far point into that proof, so
-    /// hint emission is poisoned for any later solve on this instance.
-    fn finish_unsat(&mut self, hints: Vec<u32>) -> SatOutcome {
-        if !self.no_proof_log {
-            self.proof.clauses.push(Vec::new());
-            self.proof.hints.push(hints);
+    /// The clause database is unsatisfiable: records that for later calls
+    /// and, with logging on, logs the final empty clause (with its hints)
+    /// and hands the proof out. The log is then gone, so logging stops:
+    /// a later call cannot hand out a refutation it no longer holds.
+    fn refute(&mut self, conflict_cidx: u32) -> SatOutcome {
+        self.root_conflict = true;
+        if self.no_proof_log {
+            return SatOutcome::Unsat(None);
         }
+        let hints = self.root_refutation_hints(conflict_cidx);
+        self.proof.clauses.push(Vec::new());
+        self.proof.hints.push(hints);
         self.hints_poisoned = true;
-        SatOutcome::Unsat(std::mem::take(&mut self.proof))
-    }
-
-    /// MiniSat-style incremental solve under assumption literals.
-    ///
-    /// The clause database — including clauses learned by earlier calls — is
-    /// retained: learned clauses are resolvents of database clauses alone
-    /// (assumption decisions are never resolved on), so they stay valid for
-    /// any later assumption set. Clauses added between calls are picked up
-    /// by restarting propagation from the root level.
-    ///
-    /// Gives up after `max_conflicts` conflicts *in this call*, returning
-    /// `None`. On every return path the solver is backtracked to the root
-    /// level, so [`SatSolver::add_clause`] may be called again afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an assumption mentions an unallocated variable.
-    pub fn solve_with_assumptions(
-        &mut self,
-        assumptions: &[Lit],
-        max_conflicts: u64,
-    ) -> Option<AssumptionOutcome> {
-        for a in assumptions {
-            assert!(
-                a.var() < self.num_vars,
-                "assumption {a} uses unallocated variable"
-            );
-        }
-        if self.root_conflict {
-            return Some(AssumptionOutcome::Unsat(Vec::new()));
-        }
-        // Clauses added since the last call may watch literals that an
-        // earlier trail already falsified; re-propagating the whole trail
-        // restores the watch invariant before any new decision is taken.
-        self.backtrack(0);
-        self.prop_head = 0;
-        let start_conflicts = self.conflicts;
-        let mut restart_budget = luby(LUBY_UNIT, 0);
-        let mut restart_seq = 0u32;
-
-        loop {
-            if let Some(conflict) = self.propagate() {
-                self.conflicts += 1;
-                if self.conflicts - start_conflicts > max_conflicts {
-                    self.backtrack(0);
-                    return None;
-                }
-                if self.trail_lim.is_empty() {
-                    // Conflict below every assumption: the formula itself
-                    // is unsatisfiable.
-                    self.root_conflict = true;
-                    return Some(AssumptionOutcome::Unsat(Vec::new()));
-                }
-                let (learned, backjump, lbd) = self.analyze(conflict);
-                self.backtrack(backjump);
-                self.act_inc /= 0.95;
-                match learned.len() {
-                    1 => {
-                        if self.value(learned[0]) == Some(false) {
-                            self.root_conflict = true;
-                            self.backtrack(0);
-                            return Some(AssumptionOutcome::Unsat(Vec::new()));
-                        }
-                        if self.value(learned[0]).is_none() {
-                            // Unlogged root unit: later hint chains cannot
-                            // re-derive it, so stop emitting hints.
-                            self.hints_poisoned = true;
-                            self.enqueue(learned[0], u32::MAX);
-                        }
-                    }
-                    _ => self.install_learned(learned, lbd, u32::MAX),
-                }
-                self.maybe_reduce();
-                restart_budget = restart_budget.saturating_sub(1);
-                if restart_budget == 0 {
-                    restart_seq += 1;
-                    self.restarts += 1;
-                    restart_budget = luby(LUBY_UNIT, restart_seq);
-                    self.backtrack(0);
-                }
-            } else {
-                // Place outstanding assumptions as decisions: decision level
-                // i hosts assumption i (already-true assumptions get an
-                // empty dummy level so the correspondence survives
-                // backjumps, exactly as in MiniSat).
-                let mut next = None;
-                while self.trail_lim.len() < assumptions.len() {
-                    let p = assumptions[self.trail_lim.len()];
-                    match self.value(p) {
-                        Some(true) => self.trail_lim.push(self.trail.len()),
-                        Some(false) => {
-                            let core = self.analyze_final(p);
-                            self.backtrack(0);
-                            return Some(AssumptionOutcome::Unsat(core));
-                        }
-                        None => {
-                            next = Some(p);
-                            break;
-                        }
-                    }
-                }
-                match next.or_else(|| self.decide()) {
-                    None => {
-                        let model: Vec<bool> =
-                            self.assign.iter().map(|a| a.unwrap_or(false)).collect();
-                        self.backtrack(0);
-                        return Some(AssumptionOutcome::Sat(model));
-                    }
-                    Some(l) => {
-                        self.decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        self.enqueue(l, u32::MAX);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Final-conflict analysis: the falsified assumption `p` is traced back
-    /// through the implication graph to the subset of assumption decisions
-    /// it depends on. Called only while placing assumptions, when every
-    /// decision above the root level is an assumption literal.
-    fn analyze_final(&self, p: Lit) -> Vec<Lit> {
-        let mut core = vec![p];
-        if let Some(&first_lim) = self.trail_lim.first() {
-            let mut seen = vec![false; self.num_vars as usize];
-            seen[p.var() as usize] = true;
-            for i in (first_lim..self.trail.len()).rev() {
-                let l = self.trail[i];
-                if !seen[l.var() as usize] {
-                    continue;
-                }
-                let r = self.reason[l.var() as usize];
-                if r == u32::MAX {
-                    core.push(l);
-                } else {
-                    for &q in &self.clauses[r as usize].lits {
-                        if q.var() != l.var() && self.level[q.var() as usize] > 0 {
-                            seen[q.var() as usize] = true;
-                        }
-                    }
-                }
-            }
-        }
-        core.sort_unstable();
-        core.dedup();
-        core
+        self.no_proof_log = true;
+        SatOutcome::Unsat(Some(std::mem::take(&mut self.proof)))
     }
 }
 
@@ -1812,6 +1684,19 @@ mod tests {
         cs.iter().collect()
     }
 
+    /// An unlimited solve without assumptions.
+    fn solve(s: &mut SatSolver) -> SatOutcome {
+        s.solve(&[], u64::MAX).expect("unlimited solve completes")
+    }
+
+    /// An unlimited solve that must refute the formula with a proof.
+    fn refutation(s: &mut SatSolver) -> RupProof {
+        match solve(s) {
+            SatOutcome::Unsat(Some(p)) => p,
+            other => panic!("expected a refutation, got {other:?}"),
+        }
+    }
+
     fn solver_with(num_vars: u32, clauses: &[Vec<Lit>]) -> SatSolver {
         let mut s = SatSolver::new();
         for _ in 0..num_vars {
@@ -1845,7 +1730,7 @@ mod tests {
     fn trivially_sat() {
         let cs = vec![lits(&[1, 2]), lits(&[-1, 2])];
         let mut s = solver_with(2, &cs);
-        match s.solve() {
+        match solve(&mut s) {
             SatOutcome::Sat(m) => assert!(m[1], "x2 must be true or x1 chosen"),
             SatOutcome::Unsat(_) => panic!("expected sat"),
         }
@@ -1855,22 +1740,15 @@ mod tests {
     fn trivially_unsat_with_valid_proof() {
         let cs = vec![lits(&[1]), lits(&[-1])];
         let mut s = solver_with(1, &cs);
-        match s.solve() {
-            SatOutcome::Unsat(p) => assert!(check_rup_proof(1, &arena(&cs), &p)),
-            SatOutcome::Sat(_) => panic!("expected unsat"),
-        }
+        assert!(check_rup_proof(1, &arena(&cs), &refutation(&mut s)));
     }
 
     #[test]
     fn pigeonhole_3_into_2_is_unsat() {
         let cs = pigeonhole(3, 2);
         let mut s = solver_with(6, &cs);
-        match s.solve() {
-            SatOutcome::Unsat(p) => {
-                assert!(check_rup_proof(6, &arena(&cs), &p), "RUP proof must check")
-            }
-            SatOutcome::Sat(_) => panic!("PHP(3,2) is unsat"),
-        }
+        let p = refutation(&mut s);
+        assert!(check_rup_proof(6, &arena(&cs), &p), "RUP proof must check");
     }
 
     /// PHP(3,2) has no model: the 2⁶-row truth table agrees with the
@@ -1884,9 +1762,7 @@ mod tests {
         });
         assert!(!satisfiable, "PHP(3,2) has no model");
         let mut s = solver_with(6, &cs);
-        let SatOutcome::Unsat(p) = s.solve() else {
-            panic!("the solver must agree with the truth table");
-        };
+        let p = refutation(&mut s);
         assert!(check_rup_proof(6, &arena(&cs), &p), "proof must check");
     }
 
@@ -1899,9 +1775,7 @@ mod tests {
     fn solver_proofs_carry_working_hints() {
         let cs = pigeonhole(3, 2);
         let mut s = solver_with(6, &cs);
-        let SatOutcome::Unsat(p) = s.solve() else {
-            panic!("PHP(3,2) is unsat");
-        };
+        let p = refutation(&mut s);
         assert!(p.is_hinted(), "solve must emit hints");
         assert!(check_rup_proof(6, &arena(&cs), &p));
         assert!(check_rup_proof(6, &arena(&cs), &p.strip_hints()));
@@ -1930,7 +1804,7 @@ mod tests {
         }
         cs.push(lits(&[1]));
         let mut s = solver_with(21, &cs);
-        match s.solve() {
+        match solve(&mut s) {
             SatOutcome::Sat(m) => {
                 for c in &cs {
                     assert!(c.iter().any(|l| m[l.var() as usize] == l.is_pos()));
@@ -1946,7 +1820,7 @@ mod tests {
         let mut s = SatSolver::new();
         s.new_var();
         s.add_clause(&[]);
-        assert!(matches!(s.solve(), SatOutcome::Unsat(_)));
+        assert!(matches!(solve(&mut s), SatOutcome::Unsat(_)));
     }
 
     #[test]
@@ -1954,7 +1828,7 @@ mod tests {
         let mut s = SatSolver::new();
         let v = s.new_var();
         s.add_clause(&[Lit::pos(v), Lit::neg(v)]);
-        assert!(matches!(s.solve(), SatOutcome::Sat(_)));
+        assert!(matches!(solve(&mut s), SatOutcome::Sat(_)));
     }
 
     #[test]
@@ -1962,16 +1836,13 @@ mod tests {
         // (x1 ∨ x2): unsat under {¬x1, ¬x2}, sat under {¬x1} alone.
         let cs = vec![lits(&[1, 2])];
         let mut s = solver_with(2, &cs);
-        match s.solve_with_assumptions(&lits(&[-1, -2]), u64::MAX) {
-            Some(AssumptionOutcome::Unsat(core)) => {
-                let mut want = lits(&[-1, -2]);
-                want.sort_unstable();
-                assert_eq!(core, want, "both assumptions participate");
-            }
-            other => panic!("expected unsat, got {other:?}"),
-        }
-        match s.solve_with_assumptions(&lits(&[-1]), u64::MAX) {
-            Some(AssumptionOutcome::Sat(m)) => {
+        assert_eq!(
+            s.solve(&lits(&[-1, -2]), u64::MAX),
+            Some(SatOutcome::Unsat(None)),
+            "an assumption-forced conflict refutes nothing"
+        );
+        match s.solve(&lits(&[-1]), u64::MAX) {
+            Some(SatOutcome::Sat(m)) => {
                 assert!(!m[0] && m[1], "model must honour the assumption");
             }
             other => panic!("expected sat, got {other:?}"),
@@ -1979,69 +1850,67 @@ mod tests {
     }
 
     #[test]
-    fn final_conflict_core_is_a_sufficient_subset() {
-        // Only x2 and x4 conflict (¬x2 ∨ ¬x4); x1, x3, x5 are innocent.
-        let cs = vec![lits(&[-2, -4])];
-        let assumptions = lits(&[1, 2, 3, 4, 5]);
-        let mut s = solver_with(5, &cs);
-        match s.solve_with_assumptions(&assumptions, u64::MAX) {
-            Some(AssumptionOutcome::Unsat(core)) => {
-                assert!(!core.is_empty());
-                assert!(core.iter().all(|l| assumptions.contains(l)));
-                assert!(!core.contains(&Lit::pos(0)), "x1 is not involved");
-                // The core alone (as unit clauses) refutes the formula.
-                let mut fresh = solver_with(5, &cs);
-                for &l in &core {
-                    fresh.add_clause(&[l]);
-                }
-                assert!(matches!(fresh.solve(), SatOutcome::Unsat(_)));
-            }
-            other => panic!("expected unsat, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn contradictory_assumptions_yield_both_in_core() {
+    fn contradictory_assumptions_are_unsat_without_a_proof() {
         let cs = vec![lits(&[1, 2])];
         let mut s = solver_with(2, &cs);
-        match s.solve_with_assumptions(&lits(&[1, -1]), u64::MAX) {
-            Some(AssumptionOutcome::Unsat(core)) => {
-                let mut want = lits(&[1, -1]);
-                want.sort_unstable();
-                assert_eq!(core, want);
-            }
-            other => panic!("expected unsat, got {other:?}"),
-        }
+        assert_eq!(
+            s.solve(&lits(&[1, -1]), u64::MAX),
+            Some(SatOutcome::Unsat(None))
+        );
+        assert!(matches!(solve(&mut s), SatOutcome::Sat(_)));
     }
 
     #[test]
-    fn unsat_formula_yields_empty_core() {
-        // PHP(3,2) is unsat regardless of assumptions.
+    fn unsat_formula_under_assumptions_refutes_the_database() {
+        // PHP(3,2) is unsat regardless of assumptions. Whichever way the
+        // first call ends, an assumption-free call refutes the database
+        // with a checkable proof.
         let cs = pigeonhole(3, 2);
         let mut s = solver_with(6, &cs);
-        match s.solve_with_assumptions(&lits(&[1]), u64::MAX) {
-            Some(AssumptionOutcome::Unsat(core)) => {
-                assert!(core.is_empty(), "formula-level unsat has empty core");
+        match s.solve(&lits(&[1]), u64::MAX) {
+            Some(SatOutcome::Unsat(Some(p))) => {
+                assert!(check_rup_proof(6, &arena(&cs), &p), "root proof checks");
+            }
+            Some(SatOutcome::Unsat(None)) => {
+                assert!(check_rup_proof(6, &arena(&cs), &refutation(&mut s)));
             }
             other => panic!("expected unsat, got {other:?}"),
         }
-        // And the solver keeps reporting it cheaply on later calls.
-        assert!(matches!(
-            s.solve_with_assumptions(&[], u64::MAX),
-            Some(AssumptionOutcome::Unsat(c)) if c.is_empty()
-        ));
+        // The solver keeps reporting it cheaply on later calls, and a
+        // handed-out log is not handed out twice.
+        let conflicts = s.effort().conflicts;
+        assert_eq!(s.solve(&[], u64::MAX), Some(SatOutcome::Unsat(None)));
+        assert_eq!(s.effort().conflicts, conflicts, "no further search");
     }
 
     #[test]
-    fn assumption_budget_exhaustion_returns_none() {
+    fn budget_exhaustion_returns_none_and_counts_per_call() {
         let cs = pigeonhole(3, 2);
         let mut s = solver_with(6, &cs);
-        assert_eq!(s.solve_with_assumptions(&[], 0), None);
+        assert_eq!(s.solve(&[], 0), None);
+        assert_eq!(
+            s.effort().conflicts,
+            1,
+            "the budget-breaking conflict counts"
+        );
         // The budget is per call: an unlimited retry still succeeds.
-        assert!(matches!(
-            s.solve_with_assumptions(&[], u64::MAX),
-            Some(AssumptionOutcome::Unsat(_))
-        ));
+        assert!(matches!(solve(&mut s), SatOutcome::Unsat(_)));
+        // A one-conflict budget spent after earlier calls still allows
+        // one conflict in the next call.
+        let mut s = solver_with(6, &cs);
+        assert_eq!(s.solve(&[], 0), None);
+        assert_eq!(s.solve(&[], 0), None);
+        assert_eq!(s.effort().conflicts, 2);
+    }
+
+    #[test]
+    fn root_propagation_conflicts_are_not_counted() {
+        // x1 ∧ (¬x1 ∨ x2) ∧ (¬x1 ∨ ¬x2): refuted by root propagation
+        // before the search loop starts.
+        let cs = vec![lits(&[1]), lits(&[-1, 2]), lits(&[-1, -2])];
+        let mut s = solver_with(2, &cs);
+        assert!(check_rup_proof(2, &arena(&cs), &refutation(&mut s)));
+        assert_eq!(s.effort().conflicts, 0);
     }
 
     #[test]
@@ -2051,18 +1920,18 @@ mod tests {
         let b = s.new_var();
         s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
         assert!(matches!(
-            s.solve_with_assumptions(&[Lit::neg(a)], u64::MAX),
-            Some(AssumptionOutcome::Sat(_))
+            s.solve(&[Lit::neg(a)], u64::MAX),
+            Some(SatOutcome::Sat(_))
         ));
         // New clause forces a; the retained solver must notice.
         s.add_clause(&[Lit::neg(b)]);
-        match s.solve_with_assumptions(&[Lit::neg(a)], u64::MAX) {
-            Some(AssumptionOutcome::Unsat(core)) => assert_eq!(core, vec![Lit::neg(a)]),
-            other => panic!("expected unsat, got {other:?}"),
-        }
+        assert_eq!(
+            s.solve(&[Lit::neg(a)], u64::MAX),
+            Some(SatOutcome::Unsat(None))
+        );
         // Without the assumption the formula is satisfiable: a, ¬b.
-        match s.solve_with_assumptions(&[], u64::MAX) {
-            Some(AssumptionOutcome::Sat(m)) => assert!(m[a as usize] && !m[b as usize]),
+        match s.solve(&[], u64::MAX) {
+            Some(SatOutcome::Sat(m)) => assert!(m[a as usize] && !m[b as usize]),
             other => panic!("expected sat, got {other:?}"),
         }
     }
@@ -2092,8 +1961,8 @@ mod tests {
             let assumptions: Vec<Lit> = (0..rnd(5))
                 .map(|_| Lit::with_sign(rnd(u64::from(num_vars)) as SatVar, rnd(2) == 0))
                 .collect();
-            let inc_sat = match inc.solve_with_assumptions(&assumptions, u64::MAX) {
-                Some(AssumptionOutcome::Sat(m)) => {
+            let inc_sat = match inc.solve(&assumptions, u64::MAX) {
+                Some(SatOutcome::Sat(m)) => {
                     for l in &assumptions {
                         assert_eq!(m[l.var() as usize], l.is_pos(), "assumption violated");
                     }
@@ -2102,17 +1971,14 @@ mod tests {
                     }
                     true
                 }
-                Some(AssumptionOutcome::Unsat(core)) => {
-                    assert!(core.iter().all(|l| assumptions.contains(l)));
-                    false
-                }
+                Some(SatOutcome::Unsat(_)) => false,
                 None => unreachable!("unlimited budget"),
             };
             let mut scratch = solver_with(num_vars, &clauses);
             for &l in &assumptions {
                 scratch.add_clause(&[l]);
             }
-            let scratch_sat = matches!(scratch.solve(), SatOutcome::Sat(_));
+            let scratch_sat = matches!(solve(&mut scratch), SatOutcome::Sat(_));
             assert_eq!(inc_sat, scratch_sat, "round {round} diverged");
             // Occasionally grow the shared formula mid-session.
             if round % 7 == 3 {
@@ -2146,14 +2012,12 @@ mod tests {
         }
         let mut s = solver_with(num_vars, &cs);
         s.max_learned = 8;
-        let SatOutcome::Unsat(p) = s.solve() else {
-            panic!("the seeded instance is unsat");
-        };
+        let p = refutation(&mut s);
         assert!(
             check_rup_proof(num_vars, &arena(&cs), &p),
             "proof survives reduction"
         );
-        assert!(s.reduced_count() > 0, "reduction never triggered");
+        assert!(s.effort().reduced > 0, "reduction never triggered");
     }
 
     /// `SatSolver::default()` and `SatSolver::new()` build the same solver:
@@ -2163,22 +2027,15 @@ mod tests {
         // A plain fn, not a by-value closure: rustc 1.95.0 miscompiles a
         // closure that takes a `SatSolver` by value and is called twice
         // (opt-level 2 and up; it corrupts the decision heap).
-        fn counters(mut s: SatSolver, cs: &[Vec<Lit>]) -> [u64; 6] {
+        fn counters(mut s: SatSolver, cs: &[Vec<Lit>]) -> SolverMetrics {
             for _ in 0..20 {
                 s.new_var();
             }
             for c in cs {
                 s.add_clause(c);
             }
-            assert!(matches!(s.solve(), SatOutcome::Unsat(_)));
-            [
-                s.conflict_count(),
-                s.decision_count(),
-                s.propagation_count(),
-                s.restart_count(),
-                s.reduced_count(),
-                s.minimized_count(),
-            ]
+            assert!(matches!(solve(&mut s), SatOutcome::Unsat(_)));
+            s.effort()
         }
         let cs = pigeonhole(5, 4);
         assert_eq!(
@@ -2192,18 +2049,15 @@ mod tests {
         // Minimisation fires on structured instances such as PHP(5,4).
         let cs = pigeonhole(5, 4);
         let mut s = solver_with(20, &cs);
-        match s.solve() {
-            SatOutcome::Unsat(p) => assert!(check_rup_proof(20, &arena(&cs), &p)),
-            SatOutcome::Sat(_) => panic!("PHP(5,4) is unsat"),
-        }
-        assert!(s.conflict_count() > 0);
-        assert!(s.minimized_count() > 0, "minimisation never fired");
+        assert!(check_rup_proof(20, &arena(&cs), &refutation(&mut s)));
+        assert!(s.effort().conflicts > 0);
+        assert!(s.effort().minimized > 0, "minimisation never fired");
         // PHP(6,5) outlasts the first Luby budget, so it must restart.
         let cs = pigeonhole(6, 5);
         let mut s = solver_with(30, &cs);
-        assert!(matches!(s.solve(), SatOutcome::Unsat(_)));
-        assert!(s.conflict_count() > LUBY_UNIT);
-        assert!(s.restart_count() > 0, "restarts never fired");
+        assert!(matches!(solve(&mut s), SatOutcome::Unsat(_)));
+        assert!(s.effort().conflicts > LUBY_UNIT);
+        assert!(s.effort().restarts > 0, "restarts never fired");
     }
 
     #[test]
@@ -2211,16 +2065,14 @@ mod tests {
         let cs = vec![lits(&[1]), lits(&[-1])];
         let mut quiet = solver_with(1, &cs);
         quiet.set_proof_logging(false);
-        match quiet.solve() {
-            SatOutcome::Unsat(p) => assert!(p.clauses.is_empty(), "no proof when disabled"),
-            SatOutcome::Sat(_) => panic!("expected unsat"),
-        }
+        assert_eq!(
+            solve(&mut quiet),
+            SatOutcome::Unsat(None),
+            "no proof when disabled"
+        );
         let mut loud = solver_with(1, &cs);
         loud.set_proof_logging(true);
-        match loud.solve() {
-            SatOutcome::Unsat(p) => assert!(check_rup_proof(1, &arena(&cs), &p)),
-            SatOutcome::Sat(_) => panic!("expected unsat"),
-        }
+        assert!(check_rup_proof(1, &arena(&cs), &refutation(&mut loud)));
     }
 
     #[test]
@@ -2239,13 +2091,9 @@ mod tests {
         assert!(!check_rup_proof(2, &arena(&cs), &not_ending));
     }
 
-    /// Solves an unsat instance and returns (original proof, clauses).
+    /// Solves an unsat instance and returns its refutation.
     fn unsat_proof(num_vars: u32, cs: &[Vec<Lit>]) -> RupProof {
-        let mut s = solver_with(num_vars, cs);
-        match s.solve() {
-            SatOutcome::Unsat(p) => p,
-            SatOutcome::Sat(_) => panic!("instance must be unsat"),
-        }
+        refutation(&mut solver_with(num_vars, cs))
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   whose clause database is *retained* across queries: each fact is
 //!   simplified once, Tseitin-encoded once, and thereafter referenced by
 //!   its output literal. Queries run as MiniSat-style assumption solves
-//!   ([`crate::sat::SatSolver::solve_with_assumptions`]), so clauses
+//!   (the one search loop, [`crate::sat::SatSolver::solve`]), so clauses
 //!   learned while answering one query keep pruning the search in the
 //!   next. Facts are never asserted as unit clauses — only passed as
 //!   assumptions — so the database stays valid for every later query,
@@ -28,12 +28,17 @@
 //! clauses alone (assumption decisions are never resolved on). Nothing in
 //! the database depends on which facts a particular query assumes.
 //!
+//! A session query and a from-scratch query share their last step: one
+//! conclude function turns the search outcome into the verdict (budget
+//! `Unknown`, model extraction and verification, proof checking).
+//!
 //! Proof-checking fallback: an assumption solve cannot produce an RUP
 //! refutation of the formula — its final conflict depends on the
 //! assumptions. Under [`SolverConfig::check_proofs`] the session therefore
-//! re-proves `Unsat` answers on a fresh proof-logging solver (counted in
-//! [`SessionMetrics::fallback_solves`]), keeping the paranoid
-//! configuration's checked-evidence discipline intact.
+//! answers `Unsat` with the from-scratch checked solve itself, on a fresh
+//! proof-logging solver (counted in [`SessionMetrics::fallback_solves`]),
+//! keeping the paranoid configuration's checked-evidence discipline
+//! intact.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -43,11 +48,11 @@ use islaris_obs::{QueryStats, SessionMetrics, SolverMetrics};
 use crate::cnf::{BlastError, Blaster};
 use crate::eval::eval_bool;
 use crate::expr::{Expr, Sort, Var};
-use crate::sat::{AssumptionOutcome, Lit, SatOutcome};
+use crate::sat::{Lit, SatOutcome};
 use crate::simplify::simplify;
 use crate::solver::{
-    checked_unsat, metrics_delta, query_delta, render_query, solve, Model, QueryCtx, SmtResult,
-    SolverConfig,
+    blast_unknown, conclude, metrics_delta, query_delta, render_query, scratch_solve, solve, Model,
+    QueryCtx, SmtResult, SolverConfig,
 };
 
 // ---------------------------------------------------------------------------
@@ -75,8 +80,8 @@ pub struct Session {
 
 impl Session {
     /// Creates an empty session. The backing solver runs with RUP proof
-    /// logging off; proof-checking configurations fall back to fresh
-    /// logging solves per `Unsat` answer instead.
+    /// logging off; proof-checking configurations re-prove each `Unsat`
+    /// answer with the from-scratch checked solve instead.
     #[must_use]
     pub fn new(cfg: SolverConfig) -> Self {
         let mut blaster = Blaster::new();
@@ -194,161 +199,29 @@ impl Session {
             return SmtResult::Sat(Model::default());
         }
 
-        let vars_before = u64::from(self.blaster.sat_num_vars());
-        let clauses_before = self.blaster.sat_original_clauses().len() as u64;
-        // Gate-level folding happens while encoding, the other counters
-        // while solving; snapshot all four here and delta after the solve.
-        let folded_before = self.blaster.folded_count();
-        let restarts_before = self.blaster.sat_restarts();
-        let reduced_before = self.blaster.sat_reduced();
-        let minimized_before = self.blaster.sat_minimized();
+        // Encoding grows the CNF and folds gates, solving moves the search
+        // counters: one snapshot before both, one delta after the solve.
+        let before = self.blaster.effort();
         let mut assumptions = Vec::with_capacity(active.len());
         for s in &active {
             match self.lit_cached(s, sorts) {
                 Ok(l) => assumptions.push(l),
-                Err(BlastError::Unsupported(msg)) => {
-                    m.unknown += 1;
-                    return SmtResult::Unknown(msg);
-                }
-                Err(e) => {
-                    m.unknown += 1;
-                    return SmtResult::Unknown(e.to_string());
-                }
+                Err(e) => return blast_unknown(e, m),
             }
         }
-        m.cnf_vars += u64::from(self.blaster.sat_num_vars()) - vars_before;
-        m.cnf_clauses += self.blaster.sat_original_clauses().len() as u64 - clauses_before;
-
-        let props_before = self.blaster.sat_propagations();
-        let decs_before = self.blaster.sat_decisions();
-        let confs_before = self.blaster.sat_conflicts();
         self.metrics.assumption_solves += 1;
-        let outcome = self
-            .blaster
-            .solve_with_assumptions(&assumptions, self.cfg.max_conflicts);
-        m.propagations += self.blaster.sat_propagations() - props_before;
-        m.decisions += self.blaster.sat_decisions() - decs_before;
-        m.conflicts += self.blaster.sat_conflicts() - confs_before;
-        m.restarts += self.blaster.sat_restarts() - restarts_before;
-        m.reduced += self.blaster.sat_reduced() - reduced_before;
-        m.minimized += self.blaster.sat_minimized() - minimized_before;
-        m.folded += self.blaster.folded_count() - folded_before;
+        let outcome = self.blaster.solve(&assumptions, self.cfg.max_conflicts);
+        m.absorb(&metrics_delta(&self.blaster.effort(), &before));
         self.metrics.clauses_retained = self.blaster.sat_clause_count() as u64;
 
-        match outcome {
-            None => {
-                m.unknown += 1;
-                SmtResult::Unknown(format!(
-                    "conflict budget {} exhausted",
-                    self.cfg.max_conflicts
-                ))
-            }
-            Some(AssumptionOutcome::Sat(bits)) => {
-                let mut model = Model::default();
-                for v in self.blaster.encoded_vars().collect::<Vec<_>>() {
-                    if let Some(val) = self.blaster.extract_value(v, &bits, sorts) {
-                        model.insert(v, val);
-                    }
-                }
-                m.model_verifies += 1;
-                let env = |v: Var| sorts(v).map(|s| model.get_or_default(v, s));
-                for a in &active {
-                    match eval_bool(a, &env) {
-                        Ok(true) => {}
-                        other => {
-                            debug_assert!(false, "model fails to satisfy {a}: {other:?}");
-                            m.unknown += 1;
-                            return SmtResult::Unknown(format!(
-                                "internal error: model verification failed on {a}"
-                            ));
-                        }
-                    }
-                }
-                m.sat += 1;
-                SmtResult::Sat(model)
-            }
-            Some(AssumptionOutcome::Unsat(_core)) => {
-                if self.cfg.check_proofs {
-                    self.metrics.fallback_solves += 1;
-                    return self.scratch_unsat_check(&active, sorts, m);
-                }
-                m.unsat += 1;
-                SmtResult::Unsat
-            }
+        if self.cfg.check_proofs && matches!(outcome, Some(SatOutcome::Unsat(None))) {
+            // No refutation to check (logging is off, and an assumption
+            // solve refutes nothing anyway): the from-scratch checked solve
+            // re-proves the query on a fresh proof-logging solver.
+            self.metrics.fallback_solves += 1;
+            return scratch_solve(&active, sorts, &self.cfg, m);
         }
-    }
-
-    /// Proof-checking fallback: re-proves the (already simplified) query
-    /// on a fresh proof-logging solver so the RUP refutation can be
-    /// replayed, exactly as the from-scratch path would. Does not count a
-    /// new query — it is the second half of the one being answered.
-    fn scratch_unsat_check(
-        &mut self,
-        active: &[Expr],
-        sorts: &dyn Fn(Var) -> Option<Sort>,
-        m: &mut SolverMetrics,
-    ) -> SmtResult {
-        let mut blaster = Blaster::new();
-        for a in active {
-            match blaster.assert_expr(a, sorts) {
-                Ok(()) => {}
-                Err(BlastError::Unsupported(msg)) => {
-                    m.unknown += 1;
-                    return SmtResult::Unknown(msg);
-                }
-                Err(e) => {
-                    m.unknown += 1;
-                    return SmtResult::Unknown(e.to_string());
-                }
-            }
-        }
-        m.cnf_vars += u64::from(blaster.sat_num_vars());
-        m.cnf_clauses += blaster.sat_original_clauses().len() as u64;
-        let outcome = blaster.solve_limited(self.cfg.max_conflicts);
-        m.propagations += blaster.sat_propagations();
-        m.decisions += blaster.sat_decisions();
-        m.conflicts += blaster.sat_conflicts();
-        m.restarts += blaster.sat_restarts();
-        m.reduced += blaster.sat_reduced();
-        m.minimized += blaster.sat_minimized();
-        m.folded += blaster.folded_count();
-        match outcome {
-            None => {
-                m.unknown += 1;
-                SmtResult::Unknown(format!(
-                    "conflict budget {} exhausted",
-                    self.cfg.max_conflicts
-                ))
-            }
-            Some(SatOutcome::Sat(bits)) => {
-                // The assumption solve answered Unsat, so this indicates a
-                // solver bug; follow the scratch path's discipline and
-                // verify rather than trust.
-                let mut model = Model::default();
-                for v in blaster.encoded_vars().collect::<Vec<_>>() {
-                    if let Some(val) = blaster.extract_value(v, &bits, sorts) {
-                        model.insert(v, val);
-                    }
-                }
-                m.model_verifies += 1;
-                let env = |v: Var| sorts(v).map(|s| model.get_or_default(v, s));
-                for a in active {
-                    match eval_bool(a, &env) {
-                        Ok(true) => {}
-                        other => {
-                            debug_assert!(false, "model fails to satisfy {a}: {other:?}");
-                            m.unknown += 1;
-                            return SmtResult::Unknown(format!(
-                                "internal error: model verification failed on {a}"
-                            ));
-                        }
-                    }
-                }
-                m.sat += 1;
-                SmtResult::Sat(model)
-            }
-            Some(SatOutcome::Unsat(proof)) => checked_unsat(&blaster, &proof, m),
-        }
+        conclude(outcome, &self.blaster, &active, sorts, &self.cfg, m)
     }
 
     fn simplify_cached(&mut self, e: &Expr) -> Expr {

@@ -208,27 +208,16 @@ pub fn entails(
     check_sat(&q, sorts, cfg, ctx).is_unsat()
 }
 
-/// The preprocessed form of a query: decided outright by simplification
-/// and folding, or bit-blasted and ready for the SAT core.
-enum Preblast {
-    /// Decided before reaching the SAT core.
-    Decided(SmtResult),
-    /// Blasted clauses plus the simplified assumptions (kept for model
-    /// verification on `Sat` answers).
-    Blasted(Box<Blaster>, Vec<Expr>),
-}
-
 /// The shared front half of every query — simplify each assumption, fold
-/// constants across facts, bit-blast — recording the same counters
-/// whichever caller runs it. Deterministic: the same assumption list
-/// always produces the same clause database, which is what lets a stored
-/// RUP proof be replayed against a fresh re-blasting
-/// ([`entails_via_proof`]).
-fn preblast(
+/// constants across facts — recording the same counters whichever caller
+/// runs it. `Err` carries a verdict decided before bit-blasting; `Ok` the
+/// simplified assumptions, ready for [`blast`] (and kept for model
+/// verification on `Sat` answers).
+fn presimplify(
     assumptions: &[Expr],
     sorts: &dyn Fn(Var) -> Option<Sort>,
     m: &mut SolverMetrics,
-) -> Preblast {
+) -> Result<Vec<Expr>, SmtResult> {
     m.queries += 1;
     let mut simplified = Vec::with_capacity(assumptions.len());
     for a in assumptions {
@@ -237,7 +226,7 @@ fn preblast(
             Some(true) => continue,
             Some(false) => {
                 m.unsat += 1;
-                return Preblast::Decided(SmtResult::Unsat);
+                return Err(SmtResult::Unsat);
             }
             None => simplified.push(s),
         }
@@ -261,7 +250,7 @@ fn preblast(
                 Some(true) => continue,
                 Some(false) => {
                     m.unsat += 1;
-                    return Preblast::Decided(SmtResult::Unsat);
+                    return Err(SmtResult::Unsat);
                 }
                 None => simplified.push(s),
             }
@@ -269,50 +258,97 @@ fn preblast(
     }
     if simplified.is_empty() {
         m.sat += 1;
-        return Preblast::Decided(SmtResult::Sat(Model::default()));
+        return Err(SmtResult::Sat(Model::default()));
     }
-
-    let mut blaster = Blaster::new();
-    for a in &simplified {
-        match blaster.assert_expr(a, sorts) {
-            Ok(()) => {}
-            Err(BlastError::Unsupported(msg)) => {
-                m.unknown += 1;
-                return Preblast::Decided(SmtResult::Unknown(msg));
-            }
-            Err(e) => {
-                m.unknown += 1;
-                return Preblast::Decided(SmtResult::Unknown(e.to_string()));
-            }
-        }
-    }
-    m.cnf_vars += u64::from(blaster.sat_num_vars());
-    m.cnf_clauses += blaster.sat_original_clauses().len() as u64;
-    Preblast::Blasted(Box::new(blaster), simplified)
+    Ok(simplified)
 }
 
-/// The from-scratch query: [`preblast`], then a fresh CDCL solve. Every
+/// The `Unknown` verdict for an expression the blaster cannot encode.
+pub(crate) fn blast_unknown(e: BlastError, m: &mut SolverMetrics) -> SmtResult {
+    m.unknown += 1;
+    SmtResult::Unknown(match e {
+        BlastError::Unsupported(msg) => msg,
+        e => e.to_string(),
+    })
+}
+
+/// Bit-blasts `exprs` onto a fresh proof-logging solver. Deterministic:
+/// the same expressions always produce the same clause database, which is
+/// what lets a stored RUP proof be replayed against a fresh re-blasting
+/// ([`entails_via_proof`]).
+fn blast(
+    exprs: &[Expr],
+    sorts: &dyn Fn(Var) -> Option<Sort>,
+    m: &mut SolverMetrics,
+) -> Result<Blaster, SmtResult> {
+    let mut blaster = Blaster::new();
+    for a in exprs {
+        blaster
+            .assert_expr(a, sorts)
+            .map_err(|e| blast_unknown(e, m))?;
+    }
+    Ok(blaster)
+}
+
+/// The from-scratch search over simplified `exprs`: [`blast`], then one
+/// CDCL solve without assumptions. Records the encoding's CNF size and
+/// folds and the search's effort into `m`.
+fn blast_and_search(
+    exprs: &[Expr],
+    sorts: &dyn Fn(Var) -> Option<Sort>,
+    cfg: &SolverConfig,
+    m: &mut SolverMetrics,
+) -> Result<(Blaster, Option<SatOutcome>), SmtResult> {
+    let mut blaster = blast(exprs, sorts, m)?;
+    let outcome = blaster.solve(&[], cfg.max_conflicts);
+    m.absorb(&blaster.effort());
+    Ok((blaster, outcome))
+}
+
+/// The from-scratch query: [`presimplify`], then [`scratch_solve`]. Every
 /// query records its outcome, the CNF size produced by bit-blasting, and
 /// the SAT solver's propagation/decision/conflict effort into `m`.
-#[allow(clippy::too_many_lines)]
 pub(crate) fn solve(
     assumptions: &[Expr],
     sorts: &dyn Fn(Var) -> Option<Sort>,
     cfg: &SolverConfig,
     m: &mut SolverMetrics,
 ) -> SmtResult {
-    let (mut blaster, simplified) = match preblast(assumptions, sorts, m) {
-        Preblast::Decided(r) => return r,
-        Preblast::Blasted(b, s) => (b, s),
-    };
-    let outcome = blaster.solve_limited(cfg.max_conflicts);
-    m.propagations += blaster.sat_propagations();
-    m.decisions += blaster.sat_decisions();
-    m.conflicts += blaster.sat_conflicts();
-    m.restarts += blaster.sat_restarts();
-    m.reduced += blaster.sat_reduced();
-    m.minimized += blaster.sat_minimized();
-    m.folded += blaster.folded_count();
+    match presimplify(assumptions, sorts, m) {
+        Ok(simplified) => scratch_solve(&simplified, sorts, cfg, m),
+        Err(decided) => decided,
+    }
+}
+
+/// The from-scratch solve of already simplified `exprs`, on a fresh
+/// proof-logging solver. It is also the session's proof-checking
+/// fallback, which must not count a second query, so it counts none.
+pub(crate) fn scratch_solve(
+    exprs: &[Expr],
+    sorts: &dyn Fn(Var) -> Option<Sort>,
+    cfg: &SolverConfig,
+    m: &mut SolverMetrics,
+) -> SmtResult {
+    match blast_and_search(exprs, sorts, cfg, m) {
+        Ok((blaster, outcome)) => conclude(outcome, &blaster, exprs, sorts, cfg, m),
+        Err(unknown) => unknown,
+    }
+}
+
+/// The one step from a search outcome to a verdict, shared by the
+/// from-scratch path and the session: a spent budget is `Unknown`; a `Sat`
+/// model is extracted from `blaster` and verified by evaluating every
+/// expression of `exprs` (a failed verification, an internal soundness
+/// bug, is reported as `Unknown` rather than a wrong answer); an `Unsat`
+/// is proof-checked ([`checked_unsat`]) when `cfg` asks for it.
+pub(crate) fn conclude(
+    outcome: Option<SatOutcome>,
+    blaster: &Blaster,
+    exprs: &[Expr],
+    sorts: &dyn Fn(Var) -> Option<Sort>,
+    cfg: &SolverConfig,
+    m: &mut SolverMetrics,
+) -> SmtResult {
     match outcome {
         None => {
             m.unknown += 1;
@@ -322,15 +358,15 @@ pub(crate) fn solve(
             let mut model = Model::default();
             for v in blaster.encoded_vars().collect::<Vec<_>>() {
                 if let Some(val) = blaster.extract_value(v, &bits, sorts) {
-                    model.values.insert(v, val);
+                    model.insert(v, val);
                 }
             }
-            // Verify the model by evaluation. Variables the encoder never
-            // saw (eliminated by simplification) default per sort; this is
-            // sound because simplification preserves semantics.
+            // Variables the encoder never saw (eliminated by
+            // simplification) default per sort; this is sound because
+            // simplification preserves semantics.
             m.model_verifies += 1;
             let env = |v: Var| sorts(v).map(|s| model.get_or_default(v, s));
-            for a in &simplified {
+            for a in exprs {
                 match eval_bool(a, &env) {
                     Ok(true) => {}
                     other => {
@@ -345,7 +381,9 @@ pub(crate) fn solve(
             m.sat += 1;
             SmtResult::Sat(model)
         }
-        Some(SatOutcome::Unsat(proof)) if cfg.check_proofs => checked_unsat(&blaster, &proof, m),
+        Some(SatOutcome::Unsat(proof)) if cfg.check_proofs => {
+            checked_unsat(blaster, proof.as_ref(), m)
+        }
         Some(SatOutcome::Unsat(_)) => {
             m.unsat += 1;
             SmtResult::Unsat
@@ -353,9 +391,9 @@ pub(crate) fn solve(
     }
 }
 
-/// The verdict of a proof-logging solve that answered `Unsat`: `Unsat`
-/// once `proof` checks against `blaster`'s clauses, an internal-error
-/// `Unknown` otherwise.
+/// The verdict of a solve that answered `Unsat` under a proof-checking
+/// configuration: `Unsat` once `proof` checks against `blaster`'s clauses,
+/// an internal-error `Unknown` otherwise (a missing proof fails the check).
 ///
 /// The proof is first trimmed to the clauses the final conflict actually
 /// depends on, with antecedent hints attached, and then replayed through
@@ -364,26 +402,20 @@ pub(crate) fn solve(
 /// proof that is only the empty clause is already minimal, so it is
 /// checked as it stands — trimming would build per-literal occurrence
 /// lists over the whole database to hand back the same clause.
-pub(crate) fn checked_unsat(
-    blaster: &Blaster,
-    proof: &RupProof,
-    m: &mut SolverMetrics,
-) -> SmtResult {
+fn checked_unsat(blaster: &Blaster, proof: Option<&RupProof>, m: &mut SolverMetrics) -> SmtResult {
     let num_vars = blaster.sat_num_vars();
     let db = blaster.sat_original_clauses();
-    let trimmed = if proof.clauses.len() > 1 {
-        trim_proof(num_vars, db, proof)
-    } else {
-        None
-    };
-    let ok = check_rup_proof(num_vars, db, trimmed.as_ref().unwrap_or(proof));
+    let trimmed = proof
+        .filter(|p| p.clauses.len() > 1)
+        .and_then(|p| trim_proof(num_vars, db, p));
+    let ok = proof.is_some_and(|p| check_rup_proof(num_vars, db, trimmed.as_ref().unwrap_or(p)));
     if !ok {
         debug_assert!(false, "RUP proof failed to check");
         m.unknown += 1;
         return SmtResult::Unknown("internal error: RUP proof invalid".into());
     }
-    if let Some(t) = &trimmed {
-        m.trimmed += (proof.clauses.len() - t.clauses.len()) as u64;
+    if let (Some(p), Some(t)) = (proof, &trimmed) {
+        m.trimmed += (p.clauses.len() - t.clauses.len()) as u64;
     }
     m.unsat += 1;
     SmtResult::Unsat
@@ -463,12 +495,9 @@ pub fn entails_proof(
     let mut q: Vec<Expr> = facts.to_vec();
     q.push(Expr::not(goal.clone()));
     let mut scratch = SolverMetrics::default();
-    let mut blaster = match preblast(&q, sorts, &mut scratch) {
-        Preblast::Decided(_) => return None,
-        Preblast::Blasted(b, _) => b,
-    };
-    match blaster.solve_limited(cfg.max_conflicts) {
-        Some(SatOutcome::Unsat(proof)) => {
+    let simplified = presimplify(&q, sorts, &mut scratch).ok()?;
+    match blast_and_search(&simplified, sorts, cfg, &mut scratch).ok()? {
+        (blaster, Some(SatOutcome::Unsat(Some(proof)))) => {
             let num_vars = blaster.sat_num_vars();
             let db = blaster.sat_original_clauses();
             Some(trim_proof(num_vars, db, &proof).unwrap_or(proof))
@@ -495,18 +524,22 @@ pub fn entails_via_proof(
 ) -> bool {
     let mut q: Vec<Expr> = facts.to_vec();
     q.push(Expr::not(goal.clone()));
-    match preblast(&q, sorts, m) {
-        Preblast::Decided(r) => r.is_unsat(),
-        Preblast::Blasted(blaster, _) => {
-            let num_vars = blaster.sat_num_vars();
-            let db = blaster.sat_original_clauses();
-            if check_rup_proof(num_vars, db, proof) {
-                m.unsat += 1;
-                true
-            } else {
-                false
-            }
-        }
+    let simplified = match presimplify(&q, sorts, m) {
+        Ok(simplified) => simplified,
+        Err(decided) => return decided.is_unsat(),
+    };
+    let Ok(blaster) = blast(&simplified, sorts, m) else {
+        return false;
+    };
+    let num_vars = blaster.sat_num_vars();
+    let db = blaster.sat_original_clauses();
+    m.cnf_vars += u64::from(num_vars);
+    m.cnf_clauses += db.len() as u64;
+    if check_rup_proof(num_vars, db, proof) {
+        m.unsat += 1;
+        true
+    } else {
+        false
     }
 }
 

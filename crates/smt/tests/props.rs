@@ -243,7 +243,7 @@ fn blasting_agrees_with_eval() {
                 );
                 bl.assert_expr(&pin, &sorts).expect("encodable");
             }
-            let outcome = bl.solve();
+            let outcome = bl.solve(&[], u64::MAX).expect("unlimited solve");
             match (truth, outcome) {
                 (true, SatOutcome::Sat(_)) | (false, SatOutcome::Unsat(_)) => TestResult::Pass,
                 (t, o) => TestResult::Fail(format!(

@@ -6,16 +6,18 @@
 //! per instance by code that shares nothing with the solver. Every `Sat`
 //! model is verified by evaluating the clause set; every `Unsat` proof is
 //! checked with [`check_rup_proof`] and put through the trimmed-replay
-//! battery. Assumption cores must be subsets of the assumptions, have no
-//! model in the truth table, and be re-proved with a checked refutation.
+//! battery. An `Unsat` under assumptions must have no model in the truth
+//! table and be re-proved with a checked refutation. Adversarially, no
+//! proof handed out for such a query — by the incremental solver, or the
+//! refutation of the formula plus the assumptions as units — may check
+//! against the original clauses when the truth table has a model.
 //!
 //! 256 cases per property by default (the in-tree runner honours
 //! `ISLARIS_PT_CASES`); failures print a seed replayable via
 //! `ISLARIS_PT_SEED`.
 
 use islaris_smt::sat::{
-    check_rup_proof, trim_proof, AssumptionOutcome, ClauseArena, Lit, RupProof, SatOutcome,
-    SatSolver,
+    check_rup_proof, trim_proof, ClauseArena, Lit, RupProof, SatOutcome, SatSolver,
 };
 use islaris_testkit::{forall, Rng, TestResult};
 
@@ -102,8 +104,9 @@ fn has_model_under(models: &[u32], units: &[Lit]) -> bool {
 
 /// Re-proves unsatisfiability of `clauses` (+ `units`) on a fresh
 /// proof-logging solver and checks the RUP refutation — then puts the
-/// trimmed replay through its paces ([`checked_trimmed_replay`]).
-fn checked_unsat(num_vars: u32, clauses: &[Vec<Lit>], units: &[Lit]) -> Result<(), String> {
+/// trimmed replay through its paces ([`checked_trimmed_replay`]) and
+/// returns the refutation.
+fn checked_unsat(num_vars: u32, clauses: &[Vec<Lit>], units: &[Lit]) -> Result<RupProof, String> {
     let mut s = SatSolver::new();
     for _ in 0..num_vars {
         s.new_var();
@@ -118,11 +121,13 @@ fn checked_unsat(num_vars: u32, clauses: &[Vec<Lit>], units: &[Lit]) -> Result<(
     for c in all.iter() {
         s.add_clause(c);
     }
-    match s.solve() {
+    match s.solve(&[], u64::MAX).expect("unlimited solve completes") {
         SatOutcome::Sat(_) => Err("re-proving solver found the instance satisfiable".into()),
-        SatOutcome::Unsat(proof) => {
+        SatOutcome::Unsat(None) => Err("a fresh logging solver refuted without a proof".into()),
+        SatOutcome::Unsat(Some(proof)) => {
             if check_rup_proof(num_vars, &all, &proof) {
-                checked_trimmed_replay(num_vars, &all, &proof)
+                checked_trimmed_replay(num_vars, &all, &proof)?;
+                Ok(proof)
             } else {
                 Err("RUP refutation failed the proof checker".into())
             }
@@ -199,7 +204,7 @@ fn run_against_truth_table(inst: &Instance) -> Result<(), String> {
     // Plain solve: verdict matches the table; Sat models evaluated;
     // Unsat RUP-checked.
     let mut s = build(inst);
-    match s.solve() {
+    match s.solve(&[], u64::MAX).expect("unlimited solve completes") {
         SatOutcome::Sat(m) => {
             if models.is_empty() {
                 return Err("solver says sat, truth table has no model".into());
@@ -208,7 +213,8 @@ fn run_against_truth_table(inst: &Instance) -> Result<(), String> {
                 return Err("model fails a clause".into());
             }
         }
-        SatOutcome::Unsat(p) => {
+        SatOutcome::Unsat(None) => return Err("a logging solver refuted without a proof".into()),
+        SatOutcome::Unsat(Some(p)) => {
             if !models.is_empty() {
                 return Err(format!(
                     "solver says unsat, truth table has {} models",
@@ -231,16 +237,17 @@ fn run_against_truth_table(inst: &Instance) -> Result<(), String> {
         }
     }
 
-    // Assumption sequence on one incremental solver: the clause database
-    // (including learned clauses) persists across queries.
+    // Assumption sequence on one incremental, proof-logging solver: the
+    // clause database (including learned clauses) persists across queries.
     let mut s = build(inst);
+    let originals: ClauseArena = inst.clauses.iter().collect();
     for assumptions in &inst.queries {
         let expected = has_model_under(&models, assumptions);
         match s
-            .solve_with_assumptions(assumptions, u64::MAX)
+            .solve(assumptions, u64::MAX)
             .expect("unlimited solve completes")
         {
-            AssumptionOutcome::Sat(m) => {
+            SatOutcome::Sat(m) => {
                 if !expected {
                     return Err(format!(
                         "sat under {assumptions:?}, truth table has no model"
@@ -256,22 +263,39 @@ fn run_against_truth_table(inst: &Instance) -> Result<(), String> {
                     return Err("model violates an assumption".into());
                 }
             }
-            AssumptionOutcome::Unsat(core) => {
+            SatOutcome::Unsat(handed_out) => {
                 if expected {
                     return Err(format!(
                         "unsat under {assumptions:?}, truth table has a model"
                     ));
                 }
-                if !core.iter().all(|l| assumptions.contains(l)) {
-                    return Err("final conflict is not a subset of the assumptions".into());
+                let under = checked_unsat(inst.num_vars, &inst.clauses, assumptions)
+                    .map_err(|e| format!("under {assumptions:?}: {e}"))?;
+                if models.is_empty() {
+                    // The database itself is refuted; a handed-out
+                    // refutation (assumption-era clauses included) checks.
+                    if let Some(p) = &handed_out {
+                        if !check_rup_proof(inst.num_vars, s.original_clauses(), p) {
+                            return Err("handed-out refutation rejected".into());
+                        }
+                    }
+                    continue;
                 }
-                // The core already suffices: original clauses + core
-                // units have no model, and a re-proof checks.
-                if has_model_under(&models, &core) {
-                    return Err(format!("core {core:?} has a model in the truth table"));
+                // The formula is satisfiable: nothing refutes it.
+                for (what, p) in handed_out
+                    .iter()
+                    .map(|p| ("handed-out", p))
+                    .chain([("formula-plus-assumptions", &under)])
+                {
+                    for proof in [p.clone(), p.strip_hints()] {
+                        if check_rup_proof(inst.num_vars, &originals, &proof) {
+                            return Err(format!(
+                                "{what} proof under {assumptions:?} accepted as a \
+                                 refutation of a satisfiable formula"
+                            ));
+                        }
+                    }
                 }
-                checked_unsat(inst.num_vars, &inst.clauses, &core)
-                    .map_err(|e| format!("core: {e}"))?;
             }
         }
     }

@@ -25,9 +25,9 @@ fn trim_split() {
     b.assert_expr(&Expr::not(Expr::cmp(BvCmp::Ult, x, z)), &sorts)
         .unwrap();
     let t0 = Instant::now();
-    let out = b.solve();
+    let out = b.solve(&[], u64::MAX);
     let t_solve = t0.elapsed();
-    let SatOutcome::Unsat(proof) = out else {
+    let Some(SatOutcome::Unsat(Some(proof))) = out else {
         panic!("expected unsat")
     };
     let nv = b.sat_num_vars();
